@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 import numpy as np
@@ -27,7 +28,7 @@ from .errors import (
     RankError,
     WavegplmError,
 )
-from .estimator import Dataset, FitConfig, PenaltyConfig, backfit, criterion_value
+from .estimator import Dataset, FitConfig, PenaltyConfig, backfit
 from .families import make_family
 from .simulate import SimulationConfig, calibrate_threshold, calibration_regression, run_monte_carlo
 from .wavelet import SUPPORTED_FILTERS
@@ -70,11 +71,8 @@ def _add_family_flags(parser):
 
 def _add_fit_flags(parser):
     parser.add_argument("--lambda", dest="lam", type=float, default=None,
-                        help="fixed threshold level")
-    parser.add_argument("--lambda-policy", choices=("universal", "fixed"),
-                        default=None,
-                        help="universal selects the per-family formula "
-                             "(default unless --lambda is given)")
+                        help="fixed threshold level (default: the per-family "
+                             "universal level)")
     parser.add_argument("--penalty", choices=("l1", "sobolev"), default="l1")
     parser.add_argument("--sobolev-s", type=float, default=1.0)
     parser.add_argument("--filter", dest="filter_name", choices=SUPPORTED_FILTERS,
@@ -87,13 +85,7 @@ def _add_fit_flags(parser):
 
 
 def _fit_config(args) -> FitConfig:
-    lam = args.lam
-    if args.lambda_policy == "universal":
-        if lam is not None:
-            raise ConfigurationError("--lambda conflicts with --lambda-policy universal")
-    elif args.lambda_policy == "fixed" and lam is None:
-        raise ConfigurationError("--lambda-policy fixed requires --lambda")
-    penalty = PenaltyConfig(kind=args.penalty, lam=lam, sobolev_s=args.sobolev_s,
+    penalty = PenaltyConfig(kind=args.penalty, lam=args.lam, sobolev_s=args.sobolev_s,
                             coarse_level=args.coarse_level)
     return FitConfig(kappa=args.kappa, delta=args.delta, j1=args.j1, j2=args.j2,
                      filter_name=args.filter_name, penalty=penalty)
@@ -152,7 +144,7 @@ def cmd_fit(args) -> int:
         "converged": fit.converged,
         "lambda": fit.lam,
         "final_loglik": fit.final_loglik,
-        "criterion": criterion_value(data, family, fit.beta, fit.f_hat, config),
+        "criterion": fit.criterion,
     }, args.out)
     return 0
 
@@ -220,42 +212,38 @@ def _parse_grid(spec: str) -> np.ndarray:
         raise ConfigurationError(f"cannot parse grid {spec!r}: {exc}") from exc
 
 
-def cmd_calibrate(args) -> int:
-    import math
+def _sweep(key: str, spec: str, ratio_grid: str, point) -> dict:
+    """Calibrate at each comma-listed sweep value v, on the grid
+    ratio * scale where ``point(v)`` returns (config, scale), and regress
+    the optimal thresholds on the scales."""
+    values = [int(v) for v in spec.split(",")]
+    ratios = _parse_grid(ratio_grid)
+    scales, stars, curves = [], [], []
+    for value in values:
+        cfg, scale = point(value)
+        curve = calibrate_threshold(cfg, ratios * scale)
+        scales.append(scale)
+        stars.append(curve.argmin_lambda)
+        curves.append({key: value, "lambdas": curve.lambdas,
+                       "mean_rmise": curve.mean_rmise,
+                       "argmin_lambda": curve.argmin_lambda})
+    c, r2 = calibration_regression(scales, stars)
+    return {"sweep": key, "points": curves, "slope_c": c, "r_squared": r2}
 
+
+def cmd_calibrate(args) -> int:
     config = _sim_config(args)
     document: dict = {"command": "calibrate", "config": config}
     if args.sweep_m:
-        ms = [int(v) for v in args.sweep_m.split(",")]
-        ratios = _parse_grid(args.ratio_grid)
-        scales, stars, curves = [], [], []
-        for m in ms:
+        def point(m):
             cfg = dataclasses.replace(config, family_kind="binomial", m=m, phi=None)
-            scale = math.sqrt(math.log(cfg.n) / m)
-            curve = calibrate_threshold(cfg, ratios * scale)
-            scales.append(scale)
-            stars.append(curve.argmin_lambda)
-            curves.append({"m": m, "lambdas": curve.lambdas,
-                           "mean_rmise": curve.mean_rmise,
-                           "argmin_lambda": curve.argmin_lambda})
-        c, r2 = calibration_regression(scales, stars)
-        document.update({"sweep": "m", "points": curves, "slope_c": c, "r_squared": r2})
+            return cfg, math.sqrt(math.log(cfg.n) / m)
+        document.update(_sweep("m", args.sweep_m, args.ratio_grid, point))
     elif args.sweep_n:
-        ns = [int(v) for v in args.sweep_n.split(",")]
-        ratios = _parse_grid(args.ratio_grid)
-        family = config.family()
-        scales, stars, curves = [], [], []
-        for n in ns:
-            cfg = dataclasses.replace(config, n=n)
-            scale = math.sqrt(family.phi * math.log(n))
-            curve = calibrate_threshold(cfg, ratios * scale)
-            scales.append(scale)
-            stars.append(curve.argmin_lambda)
-            curves.append({"n": n, "lambdas": curve.lambdas,
-                           "mean_rmise": curve.mean_rmise,
-                           "argmin_lambda": curve.argmin_lambda})
-        c, r2 = calibration_regression(scales, stars)
-        document.update({"sweep": "n", "points": curves, "slope_c": c, "r_squared": r2})
+        phi = config.family().phi
+        def point(n):
+            return dataclasses.replace(config, n=n), math.sqrt(phi * math.log(n))
+        document.update(_sweep("n", args.sweep_n, args.ratio_grid, point))
     else:
         if args.lambda_grid is None:
             raise ConfigurationError("calibrate needs --lambda-grid, --sweep-m or --sweep-n")

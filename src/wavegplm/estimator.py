@@ -83,25 +83,17 @@ class PenaltyConfig:
     kind "sobolev" is the quadratic penalty sum_j 2^(2js) sum_k theta_jk^2,
     applied as linear shrinkage theta / (1 + lambda 2^(2js)).
 
-    ``lam`` of None selects the per-family universal threshold.
-    ``threshold_rule`` selects how non-constant variance weights map to
-    per-coefficient thresholds.  All rules reduce to the uniform level
-    lambda for constant unit weights (the gaussian case):
-
-    * "transform" (default): lambda * |Psi diag(d eta/d mu) Psi^T 1|, so
-      thresholds scale with the local noise level of the pseudo-responses;
-    * "transform-bddot": lambda * |Psi diag(bddot) Psi^T 1|, the inverse
-      weighting (kept for comparison; diverges on strongly inhomogeneous
-      variance patterns);
-    * "sqrt_diag": lambda * sqrt(diag(Psi diag(d eta/d mu) Psi^T)),
-      O(n^2), for experiments.
+    ``lam`` of None selects the per-family universal threshold.  Under
+    kind "l1" each detail coefficient gets its own threshold
+    lambda * |Psi diag(d eta/d mu) Psi^T 1|, so thresholds scale with the
+    local noise level of the pseudo-responses; for constant unit weights
+    (the gaussian case) this is the uniform level lambda.
     """
 
     kind: str = "l1"
     lam: float | None = None
     sobolev_s: float = 1.0
     coarse_level: int | None = None
-    threshold_rule: str = "transform"
 
     def __post_init__(self):
         if self.kind not in ("l1", "sobolev"):
@@ -110,8 +102,6 @@ class PenaltyConfig:
             raise ConfigurationError("threshold level must be nonnegative")
         if self.kind == "sobolev" and not self.sobolev_s > 0.5:
             raise ConfigurationError("sobolev smoothness must exceed 1/2")
-        if self.threshold_rule not in ("transform", "transform-bddot", "sqrt_diag"):
-            raise ConfigurationError(f"unknown threshold rule {self.threshold_rule!r}")
 
     def resolve_lambda(self, family: Family, n: int) -> float:
         return universal_lambda(family, n) if self.lam is None else self.lam
@@ -218,21 +208,6 @@ def per_coefficient_thresholds(
     return thresholds
 
 
-def _sqrt_diag_thresholds(lam, noise_scale_diag, filt, coarse_level):
-    # lambda * sqrt(diag(Psi diag(w) Psi^T)); O(n^2), experimental rule
-    n = noise_scale_diag.size
-    layout = coefficient_layout(n, coarse_level)
-    diag = np.empty(n)
-    for i in range(n):
-        unit = np.zeros(n)
-        unit[i] = 1.0
-        row = idwt(WaveletCoefficients(values=unit, layout=layout), filt)
-        diag[i] = np.sum(noise_scale_diag * row * row)
-    thresholds = lam * np.sqrt(diag)
-    thresholds[layout.scaling_slice] = 0.0
-    return thresholds
-
-
 def _shrink_coefficients(coeffs: WaveletCoefficients, thresholds, penalty, lam):
     values = coeffs.values.copy()
     layout = coeffs.layout
@@ -269,12 +244,7 @@ def functional_step(
         pseudo = f + (data.y - mu) / weight
         coeffs = dwt(pseudo, filt, j0)
         if penalty.kind == "l1":
-            if penalty.threshold_rule == "transform":
-                thresholds = per_coefficient_thresholds(lam, 1.0 / weight, filt, j0)
-            elif penalty.threshold_rule == "transform-bddot":
-                thresholds = per_coefficient_thresholds(lam, weight, filt, j0)
-            else:
-                thresholds = _sqrt_diag_thresholds(lam, 1.0 / weight, filt, j0)
+            thresholds = per_coefficient_thresholds(lam, 1.0 / weight, filt, j0)
         else:
             thresholds = None
         f = idwt(_shrink_coefficients(coeffs, thresholds, penalty, lam), filt)
@@ -357,7 +327,6 @@ def backfit(data: Dataset, family: Family, config: FitConfig) -> GplmFit:
     trace = []
     converged = False
     iterations = 0
-    best_criterion = -np.inf
     decreasing = 0
     last_criterion = -np.inf
     for k in range(config.kappa):
@@ -385,7 +354,6 @@ def backfit(data: Dataset, family: Family, config: FitConfig) -> GplmFit:
                 f"iterations (outer iteration {k + 1})"
             )
         last_criterion = crit
-        best_criterion = max(best_criterion, crit)
         denom = float(np.linalg.norm(beta))
         beta = beta_new
         if step <= config.delta * denom:

@@ -26,6 +26,10 @@ def _check_finite(eta):
     return eta
 
 
+def _clamped(eta):
+    return np.clip(_check_finite(eta), -ETA_MAX, ETA_MAX)
+
+
 class Family:
     """Base class; subclasses define the cumulant and its derivatives."""
 
@@ -51,10 +55,6 @@ class Family:
     # -- link ----------------------------------------------------------
     def link(self, mu):
         """Canonical link eta = G(mu) = bdot^{-1}(mu)."""
-        raise NotImplementedError
-
-    def dlink(self, mu):
-        """d eta / d mu = 1 / bddot(G(mu))."""
         raise NotImplementedError
 
     def mean_domain_clamp(self, y):
@@ -103,9 +103,6 @@ class Gaussian(Family):
     def link(self, mu):
         return np.asarray(mu, dtype=float)
 
-    def dlink(self, mu):
-        return np.ones_like(np.asarray(mu, dtype=float))
-
     def mean_domain_clamp(self, y):
         return y
 
@@ -127,16 +124,13 @@ class Binomial(Family):
         self.m = int(m)
         self.phi = 1.0 / self.m
 
-    def _clamped(self, eta):
-        return np.clip(_check_finite(eta), -ETA_MAX, ETA_MAX)
-
     def cumulant(self, eta):
         # log(1 + e^eta) via the stable log1p branch
-        eta = self._clamped(eta)
+        eta = _clamped(eta)
         return np.logaddexp(0.0, eta)
 
     def mean(self, eta):
-        eta = self._clamped(eta)
+        eta = _clamped(eta)
         return 1.0 / (1.0 + np.exp(-eta))
 
     def b_ddot(self, eta):
@@ -148,12 +142,6 @@ class Binomial(Family):
         if np.any(mu <= 0.0) or np.any(mu >= 1.0):
             raise DomainError("binomial mean must lie in (0, 1)")
         return np.log(mu / (1.0 - mu))
-
-    def dlink(self, mu):
-        mu = np.asarray(mu, dtype=float)
-        if np.any(mu <= 0.0) or np.any(mu >= 1.0):
-            raise DomainError("binomial mean must lie in (0, 1)")
-        return 1.0 / (mu * (1.0 - mu))
 
     def mean_domain_clamp(self, y):
         lo = 1.0 / (2.0 * self.m)
@@ -172,29 +160,20 @@ class Poisson(Family):
     def __init__(self):
         self.phi = 1.0
 
-    def _clamped(self, eta):
-        return np.clip(_check_finite(eta), -ETA_MAX, ETA_MAX)
-
     def cumulant(self, eta):
-        return np.exp(self._clamped(eta))
+        return np.exp(_clamped(eta))
 
     def mean(self, eta):
-        return np.exp(self._clamped(eta))
+        return np.exp(_clamped(eta))
 
     def b_ddot(self, eta):
-        return np.exp(self._clamped(eta))
+        return np.exp(_clamped(eta))
 
     def link(self, mu):
         mu = np.asarray(mu, dtype=float)
         if np.any(mu <= 0.0):
             raise DomainError("poisson mean must be positive")
         return np.log(mu)
-
-    def dlink(self, mu):
-        mu = np.asarray(mu, dtype=float)
-        if np.any(mu <= 0.0):
-            raise DomainError("poisson mean must be positive")
-        return 1.0 / mu
 
     def mean_domain_clamp(self, y):
         return np.maximum(y, 0.5)

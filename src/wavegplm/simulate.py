@@ -152,7 +152,7 @@ class SimulationReport:
     config: SimulationConfig
     betas: np.ndarray          # (R, p), nan rows for failed fits
     rmises: np.ndarray         # (R,), nan for failed fits
-    iteration_counts: np.ndarray
+    iteration_counts: np.ndarray  # (R,), 0 for failed fits
     failures: int
     snr_f: float
     snr_beta: float
@@ -174,7 +174,8 @@ class SimulationReport:
 
     @property
     def mean_iterations(self) -> float:
-        return float(np.mean(self.iteration_counts))
+        """Mean iteration count over the fits that returned."""
+        return float(np.mean(self.iteration_counts[self.iteration_counts > 0]))
 
 
 def design_rng(seed: int) -> np.random.Generator:
@@ -248,13 +249,6 @@ class ThresholdCurve:
     lambdas: np.ndarray
     mean_rmise: np.ndarray
     argmin_lambda: float
-
-    def __post_init__(self):
-        lam = np.asarray(self.lambdas, dtype=float)
-        if lam.size == 0:
-            raise ConfigurationError("threshold grid must be nonempty")
-        if lam.size > 1 and not np.all(np.diff(lam) > 0):
-            raise ConfigurationError("threshold grid must be strictly increasing")
 
 
 def calibrate_threshold(config: SimulationConfig, lambda_grid) -> ThresholdCurve:

@@ -176,14 +176,6 @@ class CoefficientLayout:
         mask[self.scaling_slice] = False
         return mask
 
-    def level_of(self, index: int) -> tuple[str, int]:
-        """Role ('scaling' or 'detail') and level of one flat index."""
-        if not 0 <= index < self.n:
-            raise DimensionError(f"index {index} outside [0, {self.n})")
-        if index < (1 << self.coarse_level):
-            return ("scaling", self.coarse_level)
-        return ("detail", int(index).bit_length() - 1)
-
 
 def coefficient_layout(n: int, coarse_level: int) -> CoefficientLayout:
     """Partition of flat indices 0..n-1 into scaling and detail blocks."""

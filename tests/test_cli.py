@@ -84,14 +84,6 @@ class TestFitCommand:
         assert rc == 0
         assert json.loads(out.read_text())["lambda"] == 1.25
 
-    def test_conflicting_lambda_flags_exit_2(self, tmp_path, capsys):
-        data_path = tmp_path / "d.csv"
-        _write_gaussian_dataset(data_path)
-        rc = main(["fit", str(data_path), "--lambda", "1.0",
-                   "--lambda-policy", "universal"])
-        assert rc == 2
-        assert "error" in capsys.readouterr().err
-
     def test_missing_input_exit_2(self, capsys):
         assert main(["fit", "/no/such/file.csv"]) == 2
 
@@ -161,16 +153,19 @@ class TestCalibrateCommand:
     def test_bad_grid_spec(self, capsys):
         assert main(["calibrate", "--n", "64", "--lambda-grid", "1.0,two"]) == 2
 
-    def test_sweep_n_reports_slope(self, tmp_path):
+    @pytest.mark.parametrize("key, values", [("n", "32,64"), ("m", "8,24")],
+                             ids=["n", "m"])
+    def test_sweep_reports_slope(self, tmp_path, key, values):
         out = tmp_path / "cal.json"
-        rc = main(["calibrate", "--reps", "2", "--seed", "1",
+        rc = main(["calibrate", "--n", "64", "--reps", "2", "--seed", "1",
                    "--kappa", "150", "--delta", "1e-8", "--snr-f", "5",
-                   "--sweep-n", "32,64", "--ratio-grid", "lin:0.5:1.5:3",
+                   f"--sweep-{key}", values, "--ratio-grid", "lin:0.5:1.5:3",
                    "--out", str(out)])
         assert rc == 0
         doc = json.loads(out.read_text())
-        assert doc["sweep"] == "n"
-        assert len(doc["points"]) == 2
+        assert doc["sweep"] == key
+        assert [point[key] for point in doc["points"]] == \
+            [int(v) for v in values.split(",")]
         assert "slope_c" in doc and "r_squared" in doc
 
 

@@ -38,11 +38,6 @@ class TestDerivativeConsistency:
         np.testing.assert_allclose(family.link(family.mean(self.eta)), self.eta,
                                    rtol=1e-10, atol=1e-10)
 
-    def test_dlink_is_reciprocal_b_ddot(self, family):
-        mu = family.mean(self.eta)
-        np.testing.assert_allclose(family.dlink(mu), 1.0 / family.b_ddot(self.eta),
-                                   rtol=1e-8)
-
     def test_variance_scales_with_dispersion(self, family):
         np.testing.assert_allclose(family.variance(self.eta),
                                    family.phi * family.b_ddot(self.eta))
@@ -194,11 +189,6 @@ class TestSpotValues:
     def test_loglik_spot_values(self):
         assert Gaussian().loglik(np.array([1.0]), np.array([0.0])) == 0.0
         assert Poisson().loglik(np.array([2.0]), np.array([0.0])) == pytest.approx(-1.0)
-
-    def test_dlink_spot_values(self):
-        assert Gaussian().dlink(np.array([7.0]))[0] == 1.0
-        assert Binomial(m=24).dlink(np.array([0.5]))[0] == pytest.approx(4.0)
-        assert Poisson().dlink(np.array([1.0]))[0] == pytest.approx(1.0)
 
     def test_binomial_saturated_sampler(self):
         fam = Binomial(m=24)

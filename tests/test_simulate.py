@@ -182,6 +182,18 @@ class TestRunMonteCarlo:
         assert abs(report.mean_beta[0] - 1.0) < 0.1
         assert report.mean_rmise < 1.0
 
+    def test_mean_iterations_skips_failed_fits(self):
+        # replication 5 diverges at this threshold; its count stays 0 and
+        # must not pull the mean below the iterations of the fits that ran
+        lam = 1.2 * math.sqrt(math.log(256))
+        fit_cfg = FitConfig(kappa=20, penalty=PenaltyConfig(lam=lam))
+        report = run_monte_carlo(_small_config(
+            family_kind="poisson", n=256, target_snr_f=1.5, replications=6,
+            seed=5, fit=fit_cfg))
+        assert report.failures == 1
+        np.testing.assert_array_equal(report.iteration_counts, [20] * 5 + [0])
+        assert report.mean_iterations == 20.0
+
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             _small_config(replications=0)

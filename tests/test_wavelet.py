@@ -79,12 +79,14 @@ class TestLayout:
 
     def test_partition_is_bijection(self):
         layout = coefficient_layout(64, 2)
-        roles = [layout.level_of(i) for i in range(64)]
-        assert sum(1 for role, _ in roles if role == "scaling") == 4
-        counted = sum(1 << level for role, level in roles if role == "detail")
-        # every detail index at level j contributes; 2^j indices per level
-        assert len(roles) == 64
-        assert counted == sum((1 << j) * (1 << j) for j in range(2, 6))
+        assert layout.scaling_slice == slice(0, 4)
+        blocks = [layout.scaling_slice] + [layout.detail_slice(j)
+                                           for j in layout.detail_levels()]
+        covered = np.zeros(64, dtype=int)
+        for block in blocks:
+            covered[block] += 1
+        # every flat index belongs to exactly one block
+        np.testing.assert_array_equal(covered, np.ones(64, dtype=int))
 
     def test_rejects_j0_above_J(self):
         with pytest.raises(DimensionError):
