@@ -80,15 +80,24 @@ def _add_fit_flags(parser):
     parser.add_argument("--coarse-level", type=int, default=None)
     parser.add_argument("--kappa", type=int, default=5000)
     parser.add_argument("--delta", type=float, default=1e-20)
-    parser.add_argument("--j1", type=int, default=1)
-    parser.add_argument("--j2", type=int, default=1)
+
+
+def _add_simulation_flags(parser, reps: int):
+    parser.add_argument("--function", choices=("sinus", "blocs", "pics"), default="sinus")
+    parser.add_argument("--n", type=int, default=256)
+    parser.add_argument("--p", type=int, default=1)
+    parser.add_argument("--beta0", type=float, default=1.0)
+    parser.add_argument("--snr-f", type=float, default=9.0)
+    parser.add_argument("--snr-beta", type=float, default=None)
+    parser.add_argument("--reps", type=int, default=reps)
+    parser.add_argument("--seed", type=int, default=0)
 
 
 def _fit_config(args) -> FitConfig:
     penalty = PenaltyConfig(kind=args.penalty, lam=args.lam, sobolev_s=args.sobolev_s,
                             coarse_level=args.coarse_level)
-    return FitConfig(kappa=args.kappa, delta=args.delta, j1=args.j1, j2=args.j2,
-                     filter_name=args.filter_name, penalty=penalty)
+    return FitConfig(kappa=args.kappa, delta=args.delta, filter_name=args.filter_name,
+                     penalty=penalty)
 
 
 def _family(args):
@@ -102,8 +111,8 @@ def read_dataset(path: str) -> Dataset:
             lines = [ln.strip() for ln in handle if ln.strip()]
     except OSError as exc:
         raise ConfigurationError(f"cannot read dataset file {path!r}: {exc}") from exc
-    if not lines:
-        raise ConfigurationError(f"dataset file {path!r} is empty")
+    if len(lines) < 2:
+        raise ConfigurationError(f"dataset file {path!r} has no data rows")
     delim = "," if "," in lines[0] else None
     header = [c.strip() for c in lines[0].split(delim)]
     if header[0] != "y":
@@ -125,6 +134,9 @@ def read_dataset(path: str) -> Dataset:
                 f"dataset file {path!r}, line {lineno}: {exc}"
             ) from exc
     data = np.array(rows)
+    bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
+    if bad.size:
+        raise ConfigurationError(f"dataset file {path!r}, line {bad[0] + 2}: non-finite value")
     return Dataset(y=data[:, 0], X=data[:, 1:])
 
 
@@ -216,7 +228,10 @@ def _sweep(key: str, spec: str, ratio_grid: str, point) -> dict:
     """Calibrate at each comma-listed sweep value v, on the grid
     ratio * scale where ``point(v)`` returns (config, scale), and regress
     the optimal thresholds on the scales."""
-    values = [int(v) for v in spec.split(",")]
+    try:
+        values = [int(v) for v in spec.split(",")]
+    except ValueError as exc:
+        raise ConfigurationError(f"cannot parse sweep list {spec!r}: {exc}") from exc
     ratios = _parse_grid(ratio_grid)
     scales, stars, curves = [], [], []
     for value in values:
@@ -225,7 +240,7 @@ def _sweep(key: str, spec: str, ratio_grid: str, point) -> dict:
         scales.append(scale)
         stars.append(curve.argmin_lambda)
         curves.append({key: value, "lambdas": curve.lambdas,
-                       "mean_rmise": curve.mean_rmise,
+                       "mean_rmise": curve.mean_rmise, "failures": curve.failures,
                        "argmin_lambda": curve.argmin_lambda})
     c, r2 = calibration_regression(scales, stars)
     return {"sweep": key, "points": curves, "slope_c": c, "r_squared": r2}
@@ -249,7 +264,7 @@ def cmd_calibrate(args) -> int:
             raise ConfigurationError("calibrate needs --lambda-grid, --sweep-m or --sweep-n")
         curve = calibrate_threshold(config, _parse_grid(args.lambda_grid))
         document.update({"lambdas": curve.lambdas, "mean_rmise": curve.mean_rmise,
-                         "argmin_lambda": curve.argmin_lambda})
+                         "failures": curve.failures, "argmin_lambda": curve.argmin_lambda})
     _write_json(document, args.out)
     return 0
 
@@ -271,28 +286,14 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="run a seeded Monte Carlo experiment")
     _add_family_flags(sim)
     _add_fit_flags(sim)
-    sim.add_argument("--function", choices=("sinus", "blocs", "pics"), default="sinus")
-    sim.add_argument("--n", type=int, default=256)
-    sim.add_argument("--p", type=int, default=1)
-    sim.add_argument("--beta0", type=float, default=1.0)
-    sim.add_argument("--snr-f", type=float, default=9.0)
-    sim.add_argument("--snr-beta", type=float, default=None)
-    sim.add_argument("--reps", type=int, default=500)
-    sim.add_argument("--seed", type=int, default=0)
+    _add_simulation_flags(sim, reps=500)
     sim.add_argument("--out", default=None)
     sim.set_defaults(func=cmd_simulate)
 
     cal = sub.add_parser("calibrate", help="sweep threshold levels")
     _add_family_flags(cal)
     _add_fit_flags(cal)
-    cal.add_argument("--function", choices=("sinus", "blocs", "pics"), default="sinus")
-    cal.add_argument("--n", type=int, default=256)
-    cal.add_argument("--p", type=int, default=1)
-    cal.add_argument("--beta0", type=float, default=1.0)
-    cal.add_argument("--snr-f", type=float, default=9.0)
-    cal.add_argument("--snr-beta", type=float, default=None)
-    cal.add_argument("--reps", type=int, default=100)
-    cal.add_argument("--seed", type=int, default=0)
+    _add_simulation_flags(cal, reps=100)
     cal.add_argument("--lambda-grid", default=None,
                      help="comma list or lin:start:stop:count")
     cal.add_argument("--sweep-m", default=None,

@@ -1,7 +1,8 @@
 """Penalized maximum-loglikelihood GPLM estimator.
 
 The model is G(E[y | X, t]) = X beta + f(t) on the equispaced grid
-t_i = i/n, n = 2^J.  Estimation alternates two Fisher-scoring steps:
+t_i = i/n, n = 2^J.  Estimation alternates two Fisher-scoring steps,
+one of each per outer iteration:
 
 * functional step: soft-thresholding (or quadratic shrinkage) of the
   wavelet coefficients of a pseudo-response, with per-coefficient
@@ -16,7 +17,7 @@ Scaling coefficients are never penalized; the penalty acts on detail
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,6 +31,7 @@ from .errors import (
 )
 from .families import Family
 from .wavelet import (
+    CoefficientLayout,
     WaveletCoefficients,
     WaveletFilter,
     coefficient_layout,
@@ -80,8 +82,11 @@ class PenaltyConfig:
     """Penalty on the detail coefficients of f.
 
     kind "l1" is the soft-thresholding penalty lambda * sum |theta_W|;
-    kind "sobolev" is the quadratic penalty sum_j 2^(2js) sum_k theta_jk^2,
-    applied as linear shrinkage theta / (1 + lambda 2^(2js)).
+    kind "sobolev" is the quadratic penalty
+    (lambda/2) sum_j 2^(2js) sum_k theta_jk^2; the functional step
+    maximizes the Fisher-scoring approximation of K_n under it by the
+    linear shrinkage theta / (1 + lambda 2^(2js)), exactly so for the
+    gaussian family.
 
     ``lam`` of None selects the per-family universal threshold.  Under
     kind "l1" each detail coefficient gets its own threshold
@@ -116,9 +121,6 @@ class FitConfig:
 
     kappa: int = 5000
     delta: float = 1e-20
-    j1: int = 1
-    j2: int = 1
-    f_sup_bound: float | None = None
     filter_name: str = "symmlet-8"
     penalty: PenaltyConfig = field(default_factory=PenaltyConfig)
     freeze_f_at_zero: bool = False
@@ -128,10 +130,6 @@ class FitConfig:
             raise ConfigurationError("kappa must be at least 1")
         if self.delta < 0:
             raise ConfigurationError("delta must be nonnegative")
-        if self.j1 < 1 or self.j2 < 1:
-            raise ConfigurationError("inner iteration counts must be at least 1")
-        if self.f_sup_bound is not None and self.f_sup_bound <= 0:
-            raise ConfigurationError("sup-norm bound must be positive")
 
 
 @dataclass(frozen=True)
@@ -208,17 +206,12 @@ def per_coefficient_thresholds(
     return thresholds
 
 
-def _shrink_coefficients(coeffs: WaveletCoefficients, thresholds, penalty, lam):
-    values = coeffs.values.copy()
-    layout = coeffs.layout
-    if penalty.kind == "l1":
-        mask = layout.detail_mask
-        values[mask] = soft_threshold(values[mask], thresholds[mask])
-    else:
-        for level in layout.detail_levels():
-            sl = layout.detail_slice(level)
-            values[sl] = values[sl] / (1.0 + lam * 2.0 ** (2.0 * penalty.sobolev_s * level))
-    return WaveletCoefficients(values=values, layout=layout)
+def _sobolev_weights(layout: CoefficientLayout, s: float) -> np.ndarray:
+    """Level weights 2^(2js) on each detail block j, 0 on the scaling block."""
+    weights = np.zeros(layout.n)
+    for level in layout.detail_levels():
+        weights[layout.detail_slice(level)] = 2.0 ** (2.0 * s * level)
+    return weights
 
 
 def functional_step(
@@ -229,28 +222,27 @@ def functional_step(
     config: FitConfig,
     filt: WaveletFilter | None = None,
 ) -> np.ndarray:
-    """One functional Fisher-scoring step (j1 inner sweeps)."""
+    """One functional Fisher-scoring step: shrink the detail coefficients
+    of the pseudo-response f + (y - mu)/bddot(eta), soft thresholding at
+    :func:`per_coefficient_thresholds` (l1) or by 1 + lambda 2^(2js) (Sobolev)."""
     filt = filt or make_filter(config.filter_name)
     penalty = config.penalty
     n = data.n
     j0 = penalty.resolve_coarse_level(n)
     lam = penalty.resolve_lambda(family, n)
-    xb = data.X @ beta
     f = np.asarray(f_current, dtype=float)
-    for _ in range(config.j1):
-        eta = xb + f
-        mu = family.mean(eta)
-        weight = family.b_ddot(eta)  # W^{-1} = diag(b_ddot)
-        pseudo = f + (data.y - mu) / weight
-        coeffs = dwt(pseudo, filt, j0)
-        if penalty.kind == "l1":
-            thresholds = per_coefficient_thresholds(lam, 1.0 / weight, filt, j0)
-        else:
-            thresholds = None
-        f = idwt(_shrink_coefficients(coeffs, thresholds, penalty, lam), filt)
-        if config.f_sup_bound is not None:
-            f = np.clip(f, -config.f_sup_bound, config.f_sup_bound)
-    return f
+    eta = data.X @ beta + f
+    mu = family.mean(eta)
+    weight = family.b_ddot(eta)  # W^{-1} = diag(b_ddot)
+    coeffs = dwt(f + (data.y - mu) / weight, filt, j0)
+    values = coeffs.values.copy()
+    if penalty.kind == "l1":
+        thresholds = per_coefficient_thresholds(lam, 1.0 / weight, filt, j0)
+        mask = coeffs.layout.detail_mask
+        values[mask] = soft_threshold(values[mask], thresholds[mask])
+    else:
+        values /= 1.0 + lam * _sobolev_weights(coeffs.layout, penalty.sobolev_s)
+    return idwt(WaveletCoefficients(values=values, layout=coeffs.layout), filt)
 
 
 def linear_step(
@@ -260,22 +252,18 @@ def linear_step(
     f: np.ndarray,
     config: FitConfig,
 ) -> np.ndarray:
-    """One parametric Fisher-scoring step (j2 weighted-least-squares sweeps)."""
-    beta = np.asarray(beta_current, dtype=float)
-    f = np.asarray(f, dtype=float)
-    for _ in range(config.j2):
-        xb = data.X @ beta
-        eta = xb + f
-        mu = family.mean(eta)
-        weight = family.b_ddot(eta)
-        pseudo = xb + (data.y - mu) / weight
-        xtw = data.X.T * weight
-        normal = xtw @ data.X
-        try:
-            beta = np.linalg.solve(normal, xtw @ pseudo)
-        except np.linalg.LinAlgError as exc:
-            raise RankError("singular weighted normal equations") from exc
-    return beta
+    """One parametric Fisher-scoring step: weighted least squares of the
+    pseudo-response X beta + (y - mu)/bddot(eta) on X."""
+    xb = data.X @ np.asarray(beta_current, dtype=float)
+    eta = xb + np.asarray(f, dtype=float)
+    mu = family.mean(eta)
+    weight = family.b_ddot(eta)
+    pseudo = xb + (data.y - mu) / weight
+    xtw = data.X.T * weight
+    try:
+        return np.linalg.solve(xtw @ data.X, xtw @ pseudo)
+    except np.linalg.LinAlgError as exc:
+        raise RankError("singular weighted normal equations") from exc
 
 
 def initialize(data: Dataset, family: Family) -> tuple[np.ndarray, np.ndarray]:
@@ -284,21 +272,12 @@ def initialize(data: Dataset, family: Family) -> tuple[np.ndarray, np.ndarray]:
 
 
 def penalty_value(coeffs: WaveletCoefficients, penalty: PenaltyConfig,
-                  family: Family | None = None) -> float:
-    """Pen(f) evaluated on detail coefficients only."""
-    layout = coeffs.layout
+                  lam: float) -> float:
+    """Pen(f) at threshold level ``lam``, on detail coefficients only."""
     if penalty.kind == "l1":
-        lam = penalty.lam
-        if lam is None:
-            if family is None:
-                raise ConfigurationError("universal threshold needs the family")
-            lam = universal_lambda(family, layout.n)
         return float(lam * np.sum(np.abs(coeffs.details)))
-    total = 0.0
-    for level in layout.detail_levels():
-        block = coeffs.detail_block(level)
-        total += 2.0 ** (2.0 * penalty.sobolev_s * level) * float(block @ block)
-    return total
+    weights = _sobolev_weights(coeffs.layout, penalty.sobolev_s)
+    return 0.5 * lam * float(weights @ coeffs.values ** 2)
 
 
 def criterion_value(data: Dataset, family: Family, beta, f,
@@ -308,8 +287,8 @@ def criterion_value(data: Dataset, family: Family, beta, f,
     penalty = config.penalty
     j0 = penalty.resolve_coarse_level(data.n)
     eta = data.X @ np.asarray(beta, dtype=float) + np.asarray(f, dtype=float)
-    pen_cfg = replace(penalty, lam=penalty.resolve_lambda(family, data.n))
-    return family.loglik(data.y, eta) - penalty_value(dwt(f, filt, j0), pen_cfg)
+    lam = penalty.resolve_lambda(family, data.n)
+    return family.loglik(data.y, eta) - penalty_value(dwt(f, filt, j0), penalty, lam)
 
 
 def backfit(data: Dataset, family: Family, config: FitConfig) -> GplmFit:

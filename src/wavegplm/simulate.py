@@ -244,27 +244,34 @@ def run_monte_carlo(config: SimulationConfig) -> SimulationReport:
 
 @dataclass(frozen=True)
 class ThresholdCurve:
-    """Mean root-MISE as a function of the threshold level."""
+    """Mean root-MISE and count of failed fits per threshold level."""
 
     lambdas: np.ndarray
     mean_rmise: np.ndarray
+    failures: np.ndarray
     argmin_lambda: float
 
 
 def calibrate_threshold(config: SimulationConfig, lambda_grid) -> ThresholdCurve:
-    """Sweep fixed threshold levels over shared-seed Monte Carlo runs."""
+    """Sweep fixed threshold levels over shared-seed Monte Carlo runs; the
+    argmin skips grid points where every fit failed (FitError if all did)."""
     lam_grid = np.asarray(lambda_grid, dtype=float)
     if lam_grid.size == 0:
         raise ConfigurationError("threshold grid must be nonempty")
     if lam_grid.size > 1 and not np.all(np.diff(lam_grid) > 0):
         raise ConfigurationError("threshold grid must be strictly increasing")
     curve = np.empty(lam_grid.size)
+    failures = np.zeros(lam_grid.size, dtype=int)
     for i, lam in enumerate(lam_grid):
         fit_cfg = replace(config.fit, penalty=replace(config.fit.penalty, lam=float(lam)))
         report = run_monte_carlo(replace(config, fit=fit_cfg))
         curve[i] = report.mean_rmise
-    argmin = float(lam_grid[int(np.argmin(curve))])
-    return ThresholdCurve(lambdas=lam_grid, mean_rmise=curve, argmin_lambda=argmin)
+        failures[i] = report.failures
+    if np.isnan(curve).all():
+        raise FitError("every fit failed at every threshold of the grid")
+    argmin = float(lam_grid[int(np.nanargmin(curve))])
+    return ThresholdCurve(lambdas=lam_grid, mean_rmise=curve, failures=failures,
+                          argmin_lambda=argmin)
 
 
 def calibration_regression(scales, lambda_stars) -> tuple[float, float]:

@@ -57,6 +57,18 @@ class TestReadDataset:
         with pytest.raises(ConfigurationError, match="line 2"):
             read_dataset(str(path))
 
+    def test_header_only(self, tmp_path):
+        path = tmp_path / "header.csv"
+        path.write_text("y,x1\n")
+        with pytest.raises(ConfigurationError, match="no data rows"):
+            read_dataset(str(path))
+
+    def test_non_finite_cell_reports_line(self, tmp_path):
+        path = tmp_path / "inf.csv"
+        path.write_text("y,x1\n1,2\n3,4\nnan,5\n")
+        with pytest.raises(ConfigurationError, match="line 4"):
+            read_dataset(str(path))
+
 
 class TestFitCommand:
     def test_fit_writes_report(self, tmp_path):
@@ -150,8 +162,13 @@ class TestCalibrateCommand:
     def test_requires_a_grid(self, capsys):
         assert main(["calibrate", "--n", "64"]) == 2
 
-    def test_bad_grid_spec(self, capsys):
-        assert main(["calibrate", "--n", "64", "--lambda-grid", "1.0,two"]) == 2
+    @pytest.mark.parametrize("flag, spec", [("--lambda-grid", "1.0,two"),
+                                            ("--sweep-m", "8,x"),
+                                            ("--sweep-n", "32,6.4")],
+                             ids=["lambda-grid", "sweep-m", "sweep-n"])
+    def test_bad_grid_spec(self, capsys, flag, spec):
+        assert main(["calibrate", "--n", "64", flag, spec]) == 2
+        assert "cannot parse" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, values", [("n", "32,64"), ("m", "8,24")],
                              ids=["n", "m"])

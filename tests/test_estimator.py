@@ -100,8 +100,6 @@ class TestConfigValidation:
     def test_fit_counts(self):
         with pytest.raises(ConfigurationError):
             FitConfig(kappa=0)
-        with pytest.raises(ConfigurationError):
-            FitConfig(j1=0)
 
     def test_dataset_shapes(self):
         with pytest.raises(DimensionError):
@@ -230,7 +228,7 @@ class TestPenaltyAndCriterion:
         values = np.arange(16.0)
         coeffs = dwt(np.zeros(16), make_filter("haar"), 2)
         coeffs = replace(coeffs, values=values)
-        pen = penalty_value(coeffs, PenaltyConfig(lam=2.0))
+        pen = penalty_value(coeffs, PenaltyConfig(), 2.0)
         assert pen == pytest.approx(2.0 * np.sum(values[4:]))
         assert layout.detail_mask.sum() == 12
 
@@ -240,8 +238,25 @@ class TestPenaltyAndCriterion:
         values[2] = 1.0  # level-1 detail
         values[4] = 1.0  # level-2 detail
         coeffs = replace(coeffs, values=values)
-        pen = penalty_value(coeffs, PenaltyConfig(kind="sobolev", sobolev_s=1.0))
+        pen = penalty_value(coeffs, PenaltyConfig(kind="sobolev", sobolev_s=1.0), 2.0)
         assert pen == pytest.approx(2.0 ** 2 + 2.0 ** 4)
+
+    def test_sobolev_step_maximizes_criterion(self):
+        # with beta fixed the gaussian Sobolev step is the exact maximizer
+        # of K_n over f, so moving any detail coefficient cannot raise it
+        data, beta0, _ = _gaussian_data(6, n=64)
+        fam = Gaussian()
+        config = FitConfig(penalty=PenaltyConfig(kind="sobolev", lam=0.5))
+        filt = make_filter(config.filter_name)
+        f = functional_step(data, fam, beta0, data.y, config, filt)
+        best = criterion_value(data, fam, beta0, f, config, filt)
+        coeffs = dwt(f, filt, config.penalty.resolve_coarse_level(data.n))
+        for k in np.flatnonzero(coeffs.layout.detail_mask):
+            for move in (1e-4, -1e-4):
+                values = coeffs.values.copy()
+                values[k] += move
+                moved = idwt(replace(coeffs, values=values), filt)
+                assert criterion_value(data, fam, beta0, moved, config, filt) <= best
 
     def test_criterion_is_loglik_minus_penalty(self):
         data, _, f0 = _gaussian_data(3)
@@ -302,12 +317,6 @@ class TestBackfit:
         )
         with pytest.raises(FitDivergenceError):
             backfit(Dataset(y=y, X=X), make_family("poisson"), config)
-
-    def test_sup_norm_clamp_respected(self):
-        data, _, _ = _gaussian_data(8)
-        config = FitConfig(f_sup_bound=0.1, kappa=50, delta=1e-8)
-        fit = backfit(data, Gaussian(), config)
-        assert np.max(np.abs(fit.f_hat)) <= 0.1 + 1e-12
 
     def test_binomial_fit_stays_finite(self):
         rng = np.random.default_rng(21)
@@ -388,7 +397,7 @@ class TestSpecialCases:
         fam = make_family("poisson")
         y = fam.sample(x * 0.8, rng)
         data = Dataset(y=y, X=x[:, None])
-        config = FitConfig(j2=1)
+        config = FitConfig()
         beta = np.zeros(1)
         for _ in range(100):
             beta = linear_step(data, fam, beta, np.zeros(n), config)
@@ -437,8 +446,9 @@ class TestSpecialCases:
     def test_penalty_of_constant_function_is_zero(self):
         filt = make_filter("daubechies-8")
         coeffs = dwt(np.full(64, 5.0), filt, 3)
-        assert penalty_value(coeffs, PenaltyConfig(lam=1.0)) == pytest.approx(0.0, abs=1e-10)
-        assert penalty_value(coeffs, PenaltyConfig(kind="sobolev")) == pytest.approx(0.0, abs=1e-12)
+        assert penalty_value(coeffs, PenaltyConfig(), 1.0) == pytest.approx(0.0, abs=1e-10)
+        assert penalty_value(coeffs, PenaltyConfig(kind="sobolev"), 1.0) == pytest.approx(
+            0.0, abs=1e-12)
 
     def test_criterion_nondecreasing_on_gaussian_instance(self):
         data, _, _ = _gaussian_data(20, n=128)

@@ -8,6 +8,7 @@ from wavegplm import (
     ConfigurationError,
     DimensionError,
     FitConfig,
+    FitError,
     Gaussian,
     PenaltyConfig,
     SimulationConfig,
@@ -216,6 +217,20 @@ class TestCalibration:
         curve = calibrate_threshold(cfg, np.array([1e-3, 0.5 * lam0, lam0]))
         assert curve.mean_rmise[0] > curve.mean_rmise.min()
         assert curve.argmin_lambda != pytest.approx(1e-3)
+
+    def test_argmin_skips_failed_grid_points(self):
+        # the only fit at 1.2 sqrt(log n) diverges; the argmin must come
+        # from the points that have an estimate
+        cfg = SimulationConfig(family_kind="poisson", function="sinus", n=256,
+                               target_snr_f=1.5, replications=1, seed=1,
+                               fit=FitConfig(kappa=200))
+        grid = np.array([1.2, 1.6, 2.0]) * math.sqrt(math.log(256))
+        curve = calibrate_threshold(cfg, grid)
+        assert np.isnan(curve.mean_rmise[0])
+        np.testing.assert_array_equal(curve.failures, [1, 0, 0])
+        assert curve.argmin_lambda == grid[1]
+        with pytest.raises(FitError):
+            calibrate_threshold(cfg, grid[:1])
 
     def test_regression_exact_proportionality(self):
         x = np.array([1.0, 2.0, 4.0])
