@@ -105,38 +105,43 @@ def _family(args):
 
 
 def read_dataset(path: str) -> Dataset:
-    """Delimited text with a header line 'y,x1,...,xp' (comma or whitespace)."""
+    """Delimited text with a header line 'y,x1,...,xp' (comma or whitespace).
+
+    Blank lines are skipped; messages number lines as they are in the file.
+    """
     try:
         with open(path) as handle:
-            lines = [ln.strip() for ln in handle if ln.strip()]
+            lines = [ln.strip() for ln in handle]
     except OSError as exc:
         raise ConfigurationError(f"cannot read dataset file {path!r}: {exc}") from exc
-    if len(lines) < 2:
+    numbered = [lineno for lineno, line in enumerate(lines, start=1) if line]
+    if len(numbered) < 2:
         raise ConfigurationError(f"dataset file {path!r} has no data rows")
-    delim = "," if "," in lines[0] else None
-    header = [c.strip() for c in lines[0].split(delim)]
+    head = lines[numbered[0] - 1]
+    delim = "," if "," in head else None
+    header = [c.strip() for c in head.split(delim)]
     if header[0] != "y":
         raise ConfigurationError(
             f"dataset file {path!r}: first column must be 'y', got {header[0]!r}"
         )
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        cells = line.split(delim)
+    data = np.empty((len(numbered) - 1, len(header)))
+    for row, lineno in enumerate(numbered[1:]):
+        cells = lines[lineno - 1].split(delim)
         if len(cells) != len(header):
             raise ConfigurationError(
                 f"dataset file {path!r}, line {lineno}: "
                 f"expected {len(header)} columns, got {len(cells)}"
             )
         try:
-            rows.append([float(c) for c in cells])
+            data[row] = [float(c) for c in cells]
         except ValueError as exc:
             raise ConfigurationError(
                 f"dataset file {path!r}, line {lineno}: {exc}"
             ) from exc
-    data = np.array(rows)
     bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
     if bad.size:
-        raise ConfigurationError(f"dataset file {path!r}, line {bad[0] + 2}: non-finite value")
+        raise ConfigurationError(
+            f"dataset file {path!r}, line {numbered[bad[0] + 1]}: non-finite value")
     return Dataset(y=data[:, 0], X=data[:, 1:])
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -181,6 +182,15 @@ class GplmFit:
     trace: np.ndarray  # ||beta^(k) - beta^(k-1)|| per outer iteration
 
 
+@lru_cache(maxsize=8)
+def _synthesized_ones(n: int, filter_name: str, coarse_level: int) -> np.ndarray:
+    """Psi^T 1, the signal whose coefficients are all ones (read-only)."""
+    ones = WaveletCoefficients(values=np.ones(n), layout=coefficient_layout(n, coarse_level))
+    signal = idwt(ones, make_filter(filter_name))
+    signal.flags.writeable = False
+    return signal
+
+
 def per_coefficient_thresholds(
     lam: float,
     noise_scale_diag: np.ndarray,
@@ -197,12 +207,9 @@ def per_coefficient_thresholds(
     w = np.asarray(noise_scale_diag, dtype=float)
     if not np.all(np.isfinite(w)):
         raise NumericError("variance weights contain non-finite values")
-    n = w.size
-    layout = coefficient_layout(n, coarse_level)
-    ones = WaveletCoefficients(values=np.ones(n), layout=layout)
-    levels = dwt(w * idwt(ones, filt), filt, coarse_level).values
-    thresholds = lam * np.abs(levels)
-    thresholds[layout.scaling_slice] = 0.0
+    levels = dwt(w * _synthesized_ones(w.size, filt.name, coarse_level), filt, coarse_level)
+    thresholds = lam * np.abs(levels.values)
+    thresholds[levels.layout.scaling_slice] = 0.0
     return thresholds
 
 

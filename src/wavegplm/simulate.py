@@ -160,21 +160,34 @@ class SimulationReport:
     example_f_hat: np.ndarray  # f_hat of the first successful replication
     wall_time_s: float
 
+    # The aggregates run over the fits that returned and are NaN when too
+    # few did; failed fits hold NaN rows and an iteration count of 0.
+    @property
+    def _returned(self) -> int:
+        return self.rmises.size - self.failures
+
     @property
     def mean_beta(self) -> np.ndarray:
+        if not self._returned:
+            return np.full(self.betas.shape[1], np.nan)
         return np.nanmean(self.betas, axis=0)
 
     @property
     def sd_beta(self) -> np.ndarray:
+        if self._returned < 2:
+            return np.full(self.betas.shape[1], np.nan)
         return np.nanstd(self.betas, axis=0, ddof=1)
 
     @property
     def mean_rmise(self) -> float:
+        if not self._returned:
+            return math.nan
         return float(np.nanmean(self.rmises))
 
     @property
     def mean_iterations(self) -> float:
-        """Mean iteration count over the fits that returned."""
+        if not self._returned:
+            return math.nan
         return float(np.mean(self.iteration_counts[self.iteration_counts > 0]))
 
 

@@ -13,6 +13,16 @@ so the finest-scale details sit at the end of the vector.
 Sign convention: the highpass filter is derived from the lowpass taps h by
 the quadrature-mirror relation g_k = (-1)^k h_{L-1-k}.  For the Haar filter
 this yields detail coefficients d_k = (e_{2k} - e_{2k+1}) / sqrt(2).
+
+Summation order: a stage on m samples (approximation a, details d of
+length m/2, taps l = 0..L-1) gives the same bits on every call.
+Analysis takes each output as a BLAS dot product of the contiguous window
+x[(2i + l) mod m], l = 0..L-1, with the lowpass or the highpass taps.
+Synthesis starts every output x[p] at +0.0 and adds the terms
+h_l a_i + g_l d_i with (2i + l) mod m = p in increasing i, ties in
+increasing l: the order of an unbuffered scatter-add over that circular
+index, which the tests keep as the reference.  No stage builds an index
+array or keeps state between calls.
 """
 
 from __future__ import annotations
@@ -210,26 +220,40 @@ class WaveletCoefficients:
         """All detail coefficients, coarsest level first."""
         return self.values[1 << self.layout.coarse_level:]
 
-    def detail_block(self, level: int) -> np.ndarray:
-        return self.values[self.layout.detail_slice(level)]
-
 
 def _analysis_stage(x: np.ndarray, filt: WaveletFilter):
     m = x.size
     L = len(filt)
-    idx = (2 * np.arange(m // 2)[:, None] + np.arange(L)[None, :]) % m
-    window = x[idx]
+    # window i holds x[(2i + l) mod m], l = 0..L-1: a strided view of enough
+    # copies of x end to end, copied so that both products are BLAS calls
+    extended = np.concatenate((x,) * -(-(m + L - 2) // m))
+    step = extended.itemsize
+    window = np.ndarray((m // 2, L), buffer=extended, strides=(2 * step, step)).copy()
     return window @ filt.lowpass, window @ filt.highpass
 
 
 def _synthesis_stage(approx: np.ndarray, detail: np.ndarray, filt: WaveletFilter) -> np.ndarray:
-    m = 2 * approx.size
-    L = len(filt)
-    idx = (2 * np.arange(approx.size)[:, None] + np.arange(L)[None, :]) % m
-    x = np.zeros(m)
-    np.add.at(x, idx, approx[:, None] * filt.lowpass[None, :]
-              + detail[:, None] * filt.highpass[None, :])
-    return x
+    h = approx.size
+    half = len(filt) // 2
+    # terms[q, r, i] = h_l approx_i + g_l detail_i with l = 2q + r lands on
+    # x[2k + r] for k = (i + q) mod h; out[r, k] holds x[2k + r]
+    terms = np.multiply.outer(filt.lowpass, approx)
+    terms += np.multiply.outer(filt.highpass, detail)
+    terms = terms.reshape(half, 2, h)
+    out = np.zeros((2, h))
+    span = min(h, half)
+    # each output adds its terms by increasing i, ties by increasing q: by
+    # shift k - i = d from span - 1 down to 0, the terms that do not wrap,
+    # then k - i = d - h from span - 1 down to 1, the terms that wrap
+    for d in range(span - 1, -1, -1):
+        tail = out[:, d:]
+        for q in range(d, half, h):
+            tail += terms[q, :, :h - d]
+    for d in range(span - 1, 0, -1):
+        head = out[:, :d]
+        for q in range(d, half, h):
+            head += terms[q, :, h - d:]
+    return out.T.ravel()
 
 
 def dwt(signal: np.ndarray, filt: WaveletFilter, coarse_level: int) -> WaveletCoefficients:
@@ -240,19 +264,22 @@ def dwt(signal: np.ndarray, filt: WaveletFilter, coarse_level: int) -> WaveletCo
     layout = coefficient_layout(x.size, coarse_level)
     out = np.empty(x.size)
     approx = x
-    for level in reversed(layout.detail_levels()):
-        approx, detail = _analysis_stage(approx, filt)
-        out[layout.detail_slice(level)] = detail
-    out[layout.scaling_slice] = approx
+    size = x.size
+    while size > 1 << coarse_level:
+        approx, out[size // 2:size] = _analysis_stage(approx, filt)
+        size //= 2
+    out[:size] = approx
     return WaveletCoefficients(values=out, layout=layout)
 
 
 def idwt(coeffs: WaveletCoefficients, filt: WaveletFilter) -> np.ndarray:
     """Inverse periodic DWT; exact transpose of :func:`dwt`."""
-    layout = coeffs.layout
+    values = coeffs.values
     approx = coeffs.scaling.copy()
-    for level in layout.detail_levels():
-        approx = _synthesis_stage(approx, coeffs.detail_block(level), filt)
+    size = approx.size
+    while size < values.size:
+        approx = _synthesis_stage(approx, values[size:2 * size], filt)
+        size *= 2
     return approx
 
 

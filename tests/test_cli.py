@@ -69,6 +69,19 @@ class TestReadDataset:
         with pytest.raises(ConfigurationError, match="line 4"):
             read_dataset(str(path))
 
+    def test_blank_lines_keep_file_line_numbers(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text("y,x1\n\n1,abc\n")
+        with pytest.raises(ConfigurationError, match="line 3:"):
+            read_dataset(str(path))
+        path.write_text("\ny,x1\n1,2\n\n  \n3,inf\n")
+        with pytest.raises(ConfigurationError, match="line 6:"):
+            read_dataset(str(path))
+        path.write_text("\ny,x1\n1,2\n\n3,4\n\n")
+        data = read_dataset(str(path))
+        np.testing.assert_array_equal(data.y, [1.0, 3.0])
+        np.testing.assert_array_equal(data.X, [[2.0], [4.0]])
+
 
 class TestFitCommand:
     def test_fit_writes_report(self, tmp_path):

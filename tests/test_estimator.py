@@ -13,6 +13,7 @@ from wavegplm import (
     Gaussian,
     GplmFit,
     PenaltyConfig,
+    WaveletCoefficients,
     backfit,
     coefficient_layout,
     criterion_value,
@@ -140,6 +141,28 @@ class TestThresholdVector:
         dense[:4] = 0.0
         thr = per_coefficient_thresholds(1.0, w, filt, 2)
         np.testing.assert_allclose(thr, dense, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["gaussian", "poisson"])
+    def test_cached_psi_t_one_is_bit_identical(self, kind):
+        # lambda |dwt(w * idwt(1))| with Psi^T 1 synthesized afresh, against
+        # the vector taken from a cold and then from a warm cache
+        from wavegplm.estimator import _synthesized_ones
+
+        n, j0, lam = 256, 3, 1.7
+        filt = make_filter("symmlet-8")
+        family = make_family(kind)
+        eta = np.sin(np.arange(n) / 9.0)
+        w = 1.0 / family.b_ddot(eta)
+        ones = idwt(WaveletCoefficients(values=np.ones(n), layout=coefficient_layout(n, j0)),
+                    filt)
+        expected = lam * np.abs(dwt(w * ones, filt, j0).values)
+        expected[:1 << j0] = 0.0
+        _synthesized_ones.cache_clear()
+        for _ in ("cold", "warm"):
+            thr = per_coefficient_thresholds(lam, w, filt, j0)
+            np.testing.assert_array_equal(thr, expected)
+            np.testing.assert_array_equal(np.signbit(thr), np.signbit(expected))
+        assert _synthesized_ones.cache_info().hits == 1
 
 
 def _gaussian_data(seed, n=64, p=2, sigma=1.0):

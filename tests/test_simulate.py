@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -194,6 +195,26 @@ class TestRunMonteCarlo:
         assert report.failures == 1
         np.testing.assert_array_equal(report.iteration_counts, [20] * 5 + [0])
         assert report.mean_iterations == 20.0
+
+    def test_aggregates_without_returned_fits_are_nan_and_silent(self):
+        # the only fit diverges, as at the first point of
+        # test_argmin_skips_failed_grid_points
+        lam = 1.2 * math.sqrt(math.log(256))
+        failed = run_monte_carlo(SimulationConfig(
+            family_kind="poisson", function="sinus", n=256, target_snr_f=1.5,
+            replications=1, seed=1,
+            fit=FitConfig(kappa=200, penalty=PenaltyConfig(lam=lam))))
+        single = run_monte_carlo(_small_config(replications=1))
+        assert failed.failures == 1 and single.failures == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isnan(failed.mean_beta).all()
+            assert np.isnan(failed.sd_beta).all()
+            assert math.isnan(failed.mean_rmise)
+            assert math.isnan(failed.mean_iterations)
+            # one returned fit has a mean but no standard deviation
+            assert np.isfinite(single.mean_beta).all()
+            assert np.isnan(single.sd_beta).all()
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):

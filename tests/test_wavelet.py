@@ -166,3 +166,70 @@ def test_pyramid_matches_explicit_matrix(name, n, j0):
     rng = np.random.default_rng(5)
     x = rng.standard_normal(n)
     np.testing.assert_allclose(psi @ x, dwt(x, f, j0).values, atol=1e-12)
+
+
+# Reference stages: the scatter-add formulation with an explicit circular
+# index, x[(2i + l) % m] for window i and tap l.  np.add.at adds the terms
+# of each output in increasing (i, l) order, the order dwt/idwt promise.
+def _reference_analysis(x, filt):
+    m, L = x.size, len(filt)
+    idx = (2 * np.arange(m // 2)[:, None] + np.arange(L)[None, :]) % m
+    window = x[idx]
+    return window @ filt.lowpass, window @ filt.highpass
+
+
+def _reference_synthesis(approx, detail, filt):
+    m, L = 2 * approx.size, len(filt)
+    idx = (2 * np.arange(approx.size)[:, None] + np.arange(L)[None, :]) % m
+    x = np.zeros(m)
+    np.add.at(x, idx, approx[:, None] * filt.lowpass[None, :]
+              + detail[:, None] * filt.highpass[None, :])
+    return x
+
+
+def _reference_dwt(x, filt, j0):
+    layout = coefficient_layout(x.size, j0)
+    out = np.empty(x.size)
+    approx = x
+    for level in reversed(layout.detail_levels()):
+        approx, out[layout.detail_slice(level)] = _reference_analysis(approx, filt)
+    out[layout.scaling_slice] = approx
+    return out
+
+
+def _reference_idwt(values, filt, j0):
+    layout = coefficient_layout(values.size, j0)
+    approx = values[layout.scaling_slice].copy()
+    for level in layout.detail_levels():
+        approx = _reference_synthesis(approx, values[layout.detail_slice(level)], filt)
+    return approx
+
+
+def _assert_bits_equal(actual, expected):
+    np.testing.assert_array_equal(actual, expected)
+    np.testing.assert_array_equal(np.signbit(actual), np.signbit(expected))
+
+
+def _assert_kernels_match_reference(filt, n, j0, rng):
+    layout = coefficient_layout(n, j0)
+    # magnitudes from 1e-8 to 1e8 in one vector, then all -0.0
+    wide = rng.standard_normal((2, n)) * 10.0 ** rng.uniform(-8, 8, (2, n))
+    for signal, values in ((wide[0], wide[1]), (np.full(n, -0.0), np.full(n, -0.0))):
+        _assert_bits_equal(dwt(signal, filt, j0).values, _reference_dwt(signal, filt, j0))
+        _assert_bits_equal(idwt(WaveletCoefficients(values=values, layout=layout), filt),
+                           _reference_idwt(values, filt, j0))
+
+
+@pytest.mark.parametrize("name", SUPPORTED_FILTERS)
+def test_kernels_match_add_at_reference_bit_for_bit(name):
+    # every coarse level, so the shortest stages (m < L) wrap several times
+    filt = make_filter(name)
+    rng = np.random.default_rng(len(filt))
+    for J in range(1, 13):
+        for j0 in range(J + 1):
+            _assert_kernels_match_reference(filt, 1 << J, j0, rng)
+
+
+def test_kernels_match_add_at_reference_at_65536():
+    _assert_kernels_match_reference(make_filter("symmlet-8"), 1 << 16, 3,
+                                    np.random.default_rng(16))
