@@ -37,22 +37,20 @@ _VALIDATION_EXIT = 2
 _NUMERIC_EXIT = 3
 
 
-def _jsonable(obj):
+def _json_default(obj):
+    """What ``json`` cannot encode itself: arrays, numpy scalars, dataclasses."""
     if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer)):
+        return obj.tolist()
+    if isinstance(obj, np.generic):
         return obj.item()
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {k: _jsonable(v) for k, v in dataclasses.asdict(obj).items()}
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
+        return dataclasses.asdict(obj)
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _write_json(document: dict, out: str | None):
-    text = json.dumps(_jsonable(document), indent=2, sort_keys=True)
+    # np.float64 subclasses float: json writes it with float.__repr__, not the hook
+    text = json.dumps(document, indent=2, sort_keys=True, default=_json_default)
     if out is None:
         print(text)
     else:

@@ -30,4 +30,5 @@ class FitError(WavegplmError):
 
 
 class FitDivergenceError(FitError):
-    """The penalized criterion decreased persistently; the fit is diverging."""
+    """The fit is diverging: an iterate left the sup-norm bound, or the
+    penalized criterion decreased persistently."""

@@ -1,17 +1,20 @@
 """Penalized maximum-loglikelihood GPLM estimator.
 
 The model is G(E[y | X, t]) = X beta + f(t) on the equispaced grid
-t_i = i/n, n = 2^J.  Estimation alternates two Fisher-scoring steps,
-one of each per outer iteration:
+t_i = i/n, n = 2^J, with f = Psi^T theta.  Estimation maximizes
+K_n(beta, theta) = l(beta, Psi^T theta) - Pen(theta) by alternating two
+Fisher-scoring steps, one of each per outer iteration:
 
 * functional step: soft-thresholding (or quadratic shrinkage) of the
   wavelet coefficients of a pseudo-response, with per-coefficient
   threshold levels lambda * Psi W^{-1} Psi^T 1 driven by the current
-  variance weights;
+  variance weights; it yields the shrunk coefficients theta;
 * linear step: weighted least squares of a pseudo-response on X.
 
-Scaling coefficients are never penalized; the penalty acts on detail
-(wavelet) coefficients only.
+The backfit carries (beta, theta, f = idwt(theta)) and reads Pen from
+theta, so an outer iteration does 2 dwt (pseudo-response, thresholds)
+and 1 idwt.  Scaling coefficients are never penalized; the penalty acts
+on detail (wavelet) coefficients only.
 """
 
 from __future__ import annotations
@@ -179,7 +182,7 @@ class GplmFit:
     final_loglik: float
     criterion: float
     lam: float
-    trace: np.ndarray  # ||beta^(k) - beta^(k-1)|| per outer iteration
+    trace: np.ndarray  # K_n after each outer iteration; criterion is the last
 
 
 @lru_cache(maxsize=8)
@@ -221,27 +224,30 @@ def _sobolev_weights(layout: CoefficientLayout, s: float) -> np.ndarray:
     return weights
 
 
+def _working_residual(data: Dataset, family: Family, beta, f) -> tuple[np.ndarray, np.ndarray]:
+    """bddot(eta) and the working residual (y - mu)/bddot(eta) at eta = X beta + f."""
+    eta = data.X @ np.asarray(beta, dtype=float) + np.asarray(f, dtype=float)
+    weight = family.b_ddot(eta)  # W^{-1} = diag(b_ddot)
+    return weight, (data.y - family.mean(eta)) / weight
+
+
 def functional_step(
     data: Dataset,
     family: Family,
     beta: np.ndarray,
     f_current: np.ndarray,
     config: FitConfig,
-    filt: WaveletFilter | None = None,
-) -> np.ndarray:
-    """One functional Fisher-scoring step: shrink the detail coefficients
-    of the pseudo-response f + (y - mu)/bddot(eta), soft thresholding at
-    :func:`per_coefficient_thresholds` (l1) or by 1 + lambda 2^(2js) (Sobolev)."""
-    filt = filt or make_filter(config.filter_name)
+    filt: WaveletFilter,
+) -> WaveletCoefficients:
+    """One functional Fisher-scoring step: the shrunk coefficients theta of
+    the pseudo-response f + (y - mu)/bddot(eta), soft thresholded at
+    :func:`per_coefficient_thresholds` (l1) or divided by 1 + lambda 2^(2js)
+    (Sobolev).  The new f is ``idwt(theta, filt)``."""
     penalty = config.penalty
-    n = data.n
-    j0 = penalty.resolve_coarse_level(n)
-    lam = penalty.resolve_lambda(family, n)
-    f = np.asarray(f_current, dtype=float)
-    eta = data.X @ beta + f
-    mu = family.mean(eta)
-    weight = family.b_ddot(eta)  # W^{-1} = diag(b_ddot)
-    coeffs = dwt(f + (data.y - mu) / weight, filt, j0)
+    j0 = penalty.resolve_coarse_level(data.n)
+    lam = penalty.resolve_lambda(family, data.n)
+    weight, residual = _working_residual(data, family, beta, f_current)
+    coeffs = dwt(f_current + residual, filt, j0)
     values = coeffs.values.copy()
     if penalty.kind == "l1":
         thresholds = per_coefficient_thresholds(lam, 1.0 / weight, filt, j0)
@@ -249,23 +255,15 @@ def functional_step(
         values[mask] = soft_threshold(values[mask], thresholds[mask])
     else:
         values /= 1.0 + lam * _sobolev_weights(coeffs.layout, penalty.sobolev_s)
-    return idwt(WaveletCoefficients(values=values, layout=coeffs.layout), filt)
+    return WaveletCoefficients(values=values, layout=coeffs.layout)
 
 
-def linear_step(
-    data: Dataset,
-    family: Family,
-    beta_current: np.ndarray,
-    f: np.ndarray,
-    config: FitConfig,
-) -> np.ndarray:
+def linear_step(data: Dataset, family: Family, beta_current: np.ndarray,
+                f: np.ndarray) -> np.ndarray:
     """One parametric Fisher-scoring step: weighted least squares of the
     pseudo-response X beta + (y - mu)/bddot(eta) on X."""
-    xb = data.X @ np.asarray(beta_current, dtype=float)
-    eta = xb + np.asarray(f, dtype=float)
-    mu = family.mean(eta)
-    weight = family.b_ddot(eta)
-    pseudo = xb + (data.y - mu) / weight
+    weight, residual = _working_residual(data, family, beta_current, f)
+    pseudo = data.X @ np.asarray(beta_current, dtype=float) + residual
     xtw = data.X.T * weight
     try:
         return np.linalg.solve(xtw @ data.X, xtw @ pseudo)
@@ -288,39 +286,38 @@ def penalty_value(coeffs: WaveletCoefficients, penalty: PenaltyConfig,
 
 
 def criterion_value(data: Dataset, family: Family, beta, f,
-                    config: FitConfig, filt: WaveletFilter | None = None) -> float:
-    """Penalized loglikelihood K_n(f, beta) = sum l(y_i, eta_i) - Pen(f)."""
-    filt = filt or make_filter(config.filter_name)
+                    coeffs: WaveletCoefficients, config: FitConfig) -> float:
+    """Penalized loglikelihood K_n(beta, theta) = sum l(y_i, eta_i) - Pen(theta),
+    with eta = X beta + f and ``coeffs`` the coefficients theta of f."""
     penalty = config.penalty
-    j0 = penalty.resolve_coarse_level(data.n)
     eta = data.X @ np.asarray(beta, dtype=float) + np.asarray(f, dtype=float)
     lam = penalty.resolve_lambda(family, data.n)
-    return family.loglik(data.y, eta) - penalty_value(dwt(f, filt, j0), penalty, lam)
+    return family.loglik(data.y, eta) - penalty_value(coeffs, penalty, lam)
 
 
 def backfit(data: Dataset, family: Family, config: FitConfig) -> GplmFit:
     """Alternate functional and linear steps until the beta iterates settle.
 
-    Stops when ||beta^(k) - beta^(k-1)|| <= delta ||beta^(k-1)|| or after
-    kappa outer iterations.  A persistent decrease of the penalized
-    criterion over DIVERGENCE_PATIENCE consecutive iterations aborts the
-    fit with :class:`FitDivergenceError`.
+    The iterate is (beta, theta, f = idwt(theta)).  Stops when
+    ||beta^(k) - beta^(k-1)|| <= delta ||beta^(k-1)|| or after kappa outer
+    iterations.  Aborts with :class:`FitDivergenceError` when f or beta
+    leaves the sup-norm bound EXPLOSION_BOUND, or when the penalized
+    criterion decreases over DIVERGENCE_PATIENCE consecutive iterations.
     """
     filt = make_filter(config.filter_name)
     f, beta = initialize(data, family)
     if config.freeze_f_at_zero:
         f = np.zeros(data.n)
+        theta = dwt(f, filt, config.penalty.resolve_coarse_level(data.n))
     trace = []
     converged = False
-    iterations = 0
     decreasing = 0
-    last_criterion = -np.inf
     for k in range(config.kappa):
-        iterations = k + 1
         try:
             if not config.freeze_f_at_zero:
-                f = functional_step(data, family, beta, f, config, filt)
-            beta_new = linear_step(data, family, beta, f, config)
+                theta = functional_step(data, family, beta, f, config, filt)
+                f = idwt(theta, filt)
+            beta_new = linear_step(data, family, beta, f)
         except (NumericError, RankError) as exc:
             raise FitError(f"outer iteration {k + 1}: {exc}") from exc
         if np.max(np.abs(f)) > EXPLOSION_BOUND or np.max(np.abs(beta_new)) > EXPLOSION_BOUND:
@@ -328,18 +325,17 @@ def backfit(data: Dataset, family: Family, config: FitConfig) -> GplmFit:
                 f"iterates exceeded sup-norm bound {EXPLOSION_BOUND:g} "
                 f"(outer iteration {k + 1})"
             )
-        step = float(np.linalg.norm(beta_new - beta))
-        trace.append(step)
-        crit = criterion_value(data, family, beta_new, f, config, filt)
+        crit = criterion_value(data, family, beta_new, f, theta, config)
         if not np.isfinite(crit):
             raise FitError(f"outer iteration {k + 1}: non-finite criterion")
-        decreasing = decreasing + 1 if crit < last_criterion else 0
+        decreasing = decreasing + 1 if trace and crit < trace[-1] else 0
         if decreasing >= DIVERGENCE_PATIENCE:
             raise FitDivergenceError(
                 f"criterion decreased over {DIVERGENCE_PATIENCE} consecutive "
                 f"iterations (outer iteration {k + 1})"
             )
-        last_criterion = crit
+        trace.append(crit)
+        step = float(np.linalg.norm(beta_new - beta))
         denom = float(np.linalg.norm(beta))
         beta = beta_new
         if step <= config.delta * denom:
@@ -349,10 +345,10 @@ def backfit(data: Dataset, family: Family, config: FitConfig) -> GplmFit:
     return GplmFit(
         beta=beta,
         f_hat=f,
-        iterations=iterations,
+        iterations=len(trace),
         converged=converged,
         final_loglik=family.loglik(data.y, eta),
-        criterion=last_criterion,
+        criterion=trace[-1],
         lam=config.penalty.resolve_lambda(family, data.n),
         trace=np.asarray(trace),
     )

@@ -129,7 +129,7 @@ def test_criterion_03_gaussian_closed_form_equivalence():
         f = y.copy()
         for _ in range(5):
             # generic-family step
-            f_generic = functional_step(data, family, beta, f, config, filt)
+            f_generic = idwt(functional_step(data, family, beta, f, config, filt), filt)
             # explicit special case: threshold the DWT of the partial residual
             coeffs = dwt(y - X @ beta, filt, j0)
             values = coeffs.values.copy()
@@ -139,7 +139,7 @@ def test_criterion_03_gaussian_closed_form_equivalence():
             f_explicit = idwt(replace(coeffs, values=values), filt)
             worst = max(worst, float(np.max(np.abs(f_generic - f_explicit))))
             f = f_generic
-            beta_generic = linear_step(data, family, beta, f, config)
+            beta_generic = linear_step(data, family, beta, f)
             beta_explicit, *_ = np.linalg.lstsq(X, y - f, rcond=None)
             worst = max(worst, float(np.max(np.abs(beta_generic - beta_explicit))))
             beta = beta_generic

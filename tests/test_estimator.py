@@ -188,7 +188,7 @@ class TestGaussianClosedForm:
         filt = make_filter(config.filter_name)
         beta = np.array([0.3, -1.2])
         f_current = np.zeros(data.n)
-        got = functional_step(data, fam, beta, f_current, config, filt)
+        got = idwt(functional_step(data, fam, beta, f_current, config, filt), filt)
         j0 = config.penalty.resolve_coarse_level(data.n)
         lam = universal_lambda(fam, data.n)
         coeffs = dwt(data.y - data.X @ beta, filt, j0)
@@ -202,7 +202,7 @@ class TestGaussianClosedForm:
     def test_linear_step_is_ols(self, seed):
         data, _, f0 = _gaussian_data(seed)
         fam = Gaussian()
-        got = linear_step(data, fam, np.zeros(2), f0, FitConfig())
+        got = linear_step(data, fam, np.zeros(2), f0)
         expected, *_ = np.linalg.lstsq(data.X, data.y - f0, rcond=None)
         np.testing.assert_allclose(got, expected, atol=1e-10)
 
@@ -271,26 +271,25 @@ class TestPenaltyAndCriterion:
         fam = Gaussian()
         config = FitConfig(penalty=PenaltyConfig(kind="sobolev", lam=0.5))
         filt = make_filter(config.filter_name)
-        f = functional_step(data, fam, beta0, data.y, config, filt)
-        best = criterion_value(data, fam, beta0, f, config, filt)
-        coeffs = dwt(f, filt, config.penalty.resolve_coarse_level(data.n))
+        coeffs = functional_step(data, fam, beta0, data.y, config, filt)
+        best = criterion_value(data, fam, beta0, idwt(coeffs, filt), coeffs, config)
         for k in np.flatnonzero(coeffs.layout.detail_mask):
             for move in (1e-4, -1e-4):
                 values = coeffs.values.copy()
                 values[k] += move
-                moved = idwt(replace(coeffs, values=values), filt)
-                assert criterion_value(data, fam, beta0, moved, config, filt) <= best
+                moved = replace(coeffs, values=values)
+                assert criterion_value(data, fam, beta0, idwt(moved, filt), moved, config) <= best
 
     def test_criterion_is_loglik_minus_penalty(self):
         data, _, f0 = _gaussian_data(3)
         fam = Gaussian()
         config = FitConfig()
         beta = np.array([1.0, 2.0])
-        crit = criterion_value(data, fam, beta, f0, config)
-        eta = data.X @ beta + f0
-        loglik = fam.loglik(data.y, eta)
         filt = make_filter(config.filter_name)
         j0 = config.penalty.resolve_coarse_level(data.n)
+        crit = criterion_value(data, fam, beta, f0, dwt(f0, filt, j0), config)
+        eta = data.X @ beta + f0
+        loglik = fam.loglik(data.y, eta)
         lam = universal_lambda(fam, data.n)
         pen = lam * np.sum(np.abs(dwt(f0, filt, j0).details))
         assert crit == pytest.approx(loglik - pen, abs=1e-10)
@@ -323,7 +322,33 @@ class TestBackfit:
         fit = backfit(data, Gaussian(), FitConfig(kappa=7, delta=0.0))
         assert fit.iterations == 7
         assert fit.trace.shape == (7,)
+        assert fit.trace[-1] == fit.criterion
         assert not fit.converged
+
+    def test_transform_budget(self, monkeypatch):
+        # per outer iteration: dwt of the pseudo-response and of the
+        # threshold signal, idwt of theta; Psi^T 1 costs one idwt per
+        # cold cache, and the criterion no transform
+        import wavegplm.estimator as estimator
+
+        estimator._synthesized_ones.cache_clear()
+        calls = {"dwt": 0, "idwt": 0}
+
+        def counted(name):
+            original = getattr(estimator, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(estimator, "dwt", counted("dwt"))
+        monkeypatch.setattr(estimator, "idwt", counted("idwt"))
+        data, _, _ = _gaussian_data(2)
+        fit = backfit(data, Gaussian(), FitConfig(kappa=25, delta=0.0))
+        assert fit.iterations >= 20
+        assert 2 * fit.iterations <= calls["dwt"] <= 2 * fit.iterations + 1
+        assert calls["idwt"] == fit.iterations + 1
 
     def test_poisson_divergence_detected(self):
         # a threshold far below the universal level lets the poisson
@@ -361,7 +386,7 @@ def test_sobolev_shrinkage_is_linear_in_coefficients():
     config = FitConfig(penalty=PenaltyConfig(kind="sobolev", lam=0.5, sobolev_s=1.0))
     filt = make_filter(config.filter_name)
     beta = np.zeros(2)
-    got = functional_step(data, fam, beta, np.zeros(data.n), config, filt)
+    got = idwt(functional_step(data, fam, beta, np.zeros(data.n), config, filt), filt)
     j0 = config.penalty.resolve_coarse_level(data.n)
     coeffs = dwt(data.y, filt, j0)
     values = coeffs.values.copy()
@@ -388,8 +413,8 @@ class TestSpecialCases:
         data, _, _ = _gaussian_data(4)
         config = FitConfig(penalty=PenaltyConfig(lam=0.0))
         beta = np.array([0.7, -0.2])
-        f = functional_step(data, Gaussian(), beta, np.zeros(data.n),
-                            config, make_filter(config.filter_name))
+        filt = make_filter(config.filter_name)
+        f = idwt(functional_step(data, Gaussian(), beta, np.zeros(data.n), config, filt), filt)
         np.testing.assert_allclose(f, data.y - data.X @ beta, atol=1e-10)
 
     def test_coarse_only_truth_keeps_details_at_zero(self):
@@ -407,7 +432,7 @@ class TestSpecialCases:
         X = rng.standard_normal((n, 1))
         beta0 = np.array([2.0])
         data = Dataset(y=X @ beta0 + f0, X=X)
-        f = functional_step(data, Gaussian(), beta0, f0, config, filt)
+        f = idwt(functional_step(data, Gaussian(), beta0, f0, config, filt), filt)
         np.testing.assert_allclose(dwt(f, filt, j0).details, 0.0, atol=1e-10)
         np.testing.assert_allclose(f, f0, atol=1e-10)
 
@@ -420,10 +445,9 @@ class TestSpecialCases:
         fam = make_family("poisson")
         y = fam.sample(x * 0.8, rng)
         data = Dataset(y=y, X=x[:, None])
-        config = FitConfig()
         beta = np.zeros(1)
         for _ in range(100):
-            beta = linear_step(data, fam, beta, np.zeros(n), config)
+            beta = linear_step(data, fam, beta, np.zeros(n))
         b = 0.0
         for _ in range(100):
             score = float(np.sum((y - np.exp(x * b)) * x))
@@ -481,8 +505,12 @@ class TestSpecialCases:
         f, beta = initialize(data, fam)
         crits = []
         for _ in range(config.kappa):
-            f = functional_step(data, fam, beta, f, config, filt)
-            beta = linear_step(data, fam, beta, f, config)
-            crits.append(criterion_value(data, fam, beta, f, config, filt))
+            theta = functional_step(data, fam, beta, f, config, filt)
+            f = idwt(theta, filt)
+            beta = linear_step(data, fam, beta, f)
+            crits.append(criterion_value(data, fam, beta, f, theta, config))
         diffs = np.diff(crits)
         assert np.all(diffs >= -1e-8)
+        # backfit records the same criterion path
+        fit = backfit(data, fam, config)
+        np.testing.assert_array_equal(fit.trace, crits[:fit.iterations])
