@@ -12,9 +12,12 @@ numerical failures.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import io
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -36,26 +39,50 @@ from .wavelet import SUPPORTED_FILTERS
 _VALIDATION_EXIT = 2
 _NUMERIC_EXIT = 3
 
+_NON_BLANK = re.compile(r"\S")
 
-def _json_default(obj):
-    """What ``json`` cannot encode itself: arrays, numpy scalars, dataclasses."""
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, np.generic):
-        return obj.item()
+
+def _dump_json(obj, write, pad: str = "\n"):
+    """Write ``obj`` through ``write`` as ``json.dumps(obj, indent=2,
+    sort_keys=True)`` spells it, reading dataclasses as dicts, arrays as
+    lists and numpy scalars as Python scalars; ``pad`` is the line break
+    and indent of the current level.  Dict keys are strings; leaves go to
+    ``json.dumps``, which escapes strings and spells NaN and Infinity.
+    """
+    inner = pad + "  "
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return dataclasses.asdict(obj)
-    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+        obj = dataclasses.asdict(obj)
+    elif isinstance(obj, np.ndarray):
+        if obj.ndim == 1 and obj.size and obj.dtype.kind == "f" and np.isfinite(obj).all():
+            write("[" + inner)
+            write(("," + inner).join(map(float.__repr__, obj.tolist())))
+            write(pad + "]")
+            return
+        obj = list(obj) if obj.ndim > 1 else obj.tolist()
+    elif isinstance(obj, np.generic):
+        obj = obj.item()
+    if isinstance(obj, dict) and obj:
+        sep = "{"
+        for key, value in sorted(obj.items()):
+            write(sep + inner + json.dumps(key) + ": ")
+            _dump_json(value, write, inner)
+            sep = ","
+        write(pad + "}")
+    elif isinstance(obj, (list, tuple)) and obj:
+        sep = "["
+        for value in obj:
+            write(sep + inner)
+            _dump_json(value, write, inner)
+            sep = ","
+        write(pad + "]")
+    else:
+        write(json.dumps(obj))
 
 
 def _write_json(document: dict, out: str | None):
-    # np.float64 subclasses float: json writes it with float.__repr__, not the hook
-    text = json.dumps(document, indent=2, sort_keys=True, default=_json_default)
-    if out is None:
-        print(text)
-    else:
-        with open(out, "w") as handle:
-            handle.write(text + "\n")
+    with contextlib.nullcontext(sys.stdout) if out is None else open(out, "w") as handle:
+        _dump_json(document, handle.write)
+        handle.write("\n")
 
 
 def _add_family_flags(parser):
@@ -102,22 +129,25 @@ def _family(args):
     return make_family(args.family, m=args.m, phi=args.phi)
 
 
-def read_dataset(path: str) -> Dataset:
-    """Delimited text with a header line 'y,x1,...,xp' (comma or whitespace).
+def _header(head: str) -> tuple[str | None, list[str]]:
+    """The delimiter (comma if the header has one, else whitespace) and the
+    column names of a stripped header line."""
+    delim = "," if "," in head else None
+    return delim, [c.strip() for c in head.split(delim)]
+
+
+def _parse_lines(text: str, path: str) -> np.ndarray:
+    """The (rows, columns) table of a dataset file's text, one line at a time:
+    the reference for :func:`_parse_bulk` and the path of every file it
+    rejects.
 
     Blank lines are skipped; messages number lines as they are in the file.
     """
-    try:
-        with open(path) as handle:
-            lines = [ln.strip() for ln in handle]
-    except OSError as exc:
-        raise ConfigurationError(f"cannot read dataset file {path!r}: {exc}") from exc
+    lines = [ln.strip() for ln in text.split("\n")]
     numbered = [lineno for lineno, line in enumerate(lines, start=1) if line]
     if len(numbered) < 2:
         raise ConfigurationError(f"dataset file {path!r} has no data rows")
-    head = lines[numbered[0] - 1]
-    delim = "," if "," in head else None
-    header = [c.strip() for c in head.split(delim)]
+    delim, header = _header(lines[numbered[0] - 1])
     if header[0] != "y":
         raise ConfigurationError(
             f"dataset file {path!r}: first column must be 'y', got {header[0]!r}"
@@ -140,6 +170,50 @@ def read_dataset(path: str) -> Dataset:
     if bad.size:
         raise ConfigurationError(
             f"dataset file {path!r}, line {numbered[bad[0] + 1]}: non-finite value")
+    return data
+
+
+def _parse_bulk(text: str) -> np.ndarray | None:
+    """The table :func:`_parse_lines` would return, parsed in one C-level
+    call, or None wherever that call cannot vouch for it (bad header, no
+    rows, a cell it rejects, ragged rows, a non-finite value)."""
+    start, end = 0, text.find("\n")
+    while end >= 0 and not text[start:end].strip():
+        start, end = end + 1, text.find("\n", end + 1)
+    # numpy strips the separators \x1c-\x1f from a cell, as str.strip does; float does not
+    if (end < 0 or _NON_BLANK.search(text, end + 1) is None
+            or any(text.find(sep, end + 1) >= 0 for sep in "\x1c\x1d\x1e\x1f")):
+        return None
+    delim, header = _header(text[start:end].strip())
+    if header[0] != "y":
+        return None
+    try:
+        # a UTF-8 byte stream holds ASCII text at one byte a character, io.StringIO at four
+        body = io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8")
+        data = np.loadtxt(body, delimiter=delim, comments=None, ndmin=2,
+                          skiprows=text.count("\n", 0, end + 1))
+    except ValueError:
+        return None
+    if data.shape[1] != len(header) or not np.isfinite(data).all():
+        return None
+    return data
+
+
+def read_dataset(path: str) -> Dataset:
+    """Delimited text with a header line 'y,x1,...,xp' (comma or whitespace).
+
+    The body is parsed in bulk; any file the bulk parser rejects goes
+    through the line parser, which accepts what ``float`` accepts and
+    names the file line of the first bad cell.
+    """
+    try:
+        with open(path) as handle:
+            text = handle.read()
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read dataset file {path!r}: {exc}") from exc
+    data = _parse_bulk(text)
+    if data is None:
+        data = _parse_lines(text, path)
     return Dataset(y=data[:, 0], X=data[:, 1:])
 
 

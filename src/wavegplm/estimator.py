@@ -13,8 +13,9 @@ Fisher-scoring steps, one of each per outer iteration:
 
 The backfit carries (beta, theta, f = idwt(theta)) and reads Pen from
 theta, so an outer iteration does 2 dwt (pseudo-response, thresholds)
-and 1 idwt.  Scaling coefficients are never penalized; the penalty acts
-on detail (wavelet) coefficients only.
+and 1 idwt; under the unit gaussian weights the thresholds come from a
+cache, and it does 1 dwt + 1 idwt.  Scaling coefficients are never
+penalized; the penalty acts on detail (wavelet) coefficients only.
 """
 
 from __future__ import annotations
@@ -186,12 +187,19 @@ class GplmFit:
 
 
 @lru_cache(maxsize=8)
-def _synthesized_ones(n: int, filter_name: str, coarse_level: int) -> np.ndarray:
-    """Psi^T 1, the signal whose coefficients are all ones (read-only)."""
+def _synthesized_ones(n: int, filter_name: str,
+                      coarse_level: int) -> tuple[np.ndarray, np.ndarray]:
+    """Psi^T 1, the signal whose coefficients are all ones, and the
+    threshold base |Psi Psi^T 1| with the scaling block zeroed (read-only)."""
+    filt = make_filter(filter_name)
     ones = WaveletCoefficients(values=np.ones(n), layout=coefficient_layout(n, coarse_level))
-    signal = idwt(ones, make_filter(filter_name))
+    signal = idwt(ones, filt)
+    levels = dwt(signal, filt, coarse_level)
+    base = np.abs(levels.values)
+    base[levels.layout.scaling_slice] = 0.0
     signal.flags.writeable = False
-    return signal
+    base.flags.writeable = False
+    return signal, base
 
 
 def per_coefficient_thresholds(
@@ -205,12 +213,16 @@ def per_coefficient_thresholds(
     ``noise_scale_diag`` carries the per-observation noise scale of the
     pseudo-responses, d eta/d mu = 1/bddot(eta).  For constant weights w
     the vector is uniformly lambda * w on the detail blocks, recovering
-    the uniform gaussian threshold when w = 1.
+    the uniform gaussian threshold when w = 1; for w = 1 exactly it is
+    lambda times the cached base, with no transform.
     """
     w = np.asarray(noise_scale_diag, dtype=float)
     if not np.all(np.isfinite(w)):
         raise NumericError("variance weights contain non-finite values")
-    levels = dwt(w * _synthesized_ones(w.size, filt.name, coarse_level), filt, coarse_level)
+    signal, base = _synthesized_ones(w.size, filt.name, coarse_level)
+    if (w == 1.0).all():
+        return lam * base
+    levels = dwt(w * signal, filt, coarse_level)
     thresholds = lam * np.abs(levels.values)
     thresholds[levels.layout.scaling_slice] = 0.0
     return thresholds

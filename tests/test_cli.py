@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -5,8 +6,10 @@ import sys
 import numpy as np
 import pytest
 
-from wavegplm.cli import main, read_dataset
+from wavegplm import cli
+from wavegplm.cli import _dump_json, _parse_bulk, _parse_lines, main, read_dataset
 from wavegplm.errors import ConfigurationError
+from wavegplm.estimator import FitConfig
 
 
 def _write_gaussian_dataset(path, n=64, seed=0, delimiter=","):
@@ -81,6 +84,158 @@ class TestReadDataset:
         data = read_dataset(str(path))
         np.testing.assert_array_equal(data.y, [1.0, 3.0])
         np.testing.assert_array_equal(data.X, [[2.0], [4.0]])
+
+
+# (file text, whether the bulk parser vouches for it); every other file
+# goes through the line parser
+PARSER_CASES = {
+    "plain": ("y,x1\n1.5,-2\n3,4e-3\n", True),
+    "hash-in-cell": ("y,x1\n1#2,3\n4,5\n", False),
+    "underscore": ("y,x1\n1_0,2\n3,4\n", False),
+    "spaces-around-cells": ("y,x1\n 1 , 2 \n3 ,\t4\n", True),
+    "space-inside-cell": ("y,x1\n1 0,2\n3,4\n", False),
+    "trailing-comma": ("y,x1\n1,2,\n3,4,\n", False),
+    "trailing-comma-header": ("y,x1,\n1,2,\n3,4,\n", False),
+    "crlf": ("y,x1\r\n1,2\r\n3,4\r\n", True),
+    "whitespace-lines-comma": ("y,x1\n  \n1,2\n\t\n3,4\n \n", False),
+    "whitespace-lines-blank": ("\n \ny x1\n  \n1 2\n\t\n3 4\n \n", True),
+    "tabs": ("y\tx1\tx2\n1\t2\t3\n4\t5\t6\n7\t8\t9\n0\t1\t2\n", True),
+    "single-row": ("y\n1.25\n", True),
+    "y-only": ("y\n1\n2\n3\n4\n", True),
+    "nan": ("y,x1\nnan,1\n2,3\n", False),
+    "inf": ("y,x1\n1,inf\n2,3\n", False),
+    "Infinity": ("y,x1\n1,2\n-Infinity,3\n", False),
+    "signs": ("y,x1\n+1e5,-0\n-0.0,+.5\n", True),
+    "comma-row-under-whitespace-header": ("y x1\n1,2\n3 4\n", False),
+    "whitespace-row-under-comma-header": ("y,x1\n1 2\n3,4\n", False),
+    "ragged": ("y,x1\n1,2\n3\n", False),
+    "bad-header": ("z,x1\n1,2\n3,4\n", False),
+    "header-only": ("y,x1\n", False),
+    "empty": ("", False),
+    "unit-separator": ("y,x1\n1\x1f,2\n3,4\n", False),
+    "no-final-newline": ("y,x1\n1,2\n3,4", True),
+}
+
+
+@pytest.mark.parametrize("text, bulk", PARSER_CASES.values(), ids=PARSER_CASES.keys())
+def test_bulk_parser_agrees_with_line_parser(tmp_path, text, bulk):
+    # read_dataset returns the line parser's table bit for bit, or raises
+    # its message byte for byte
+    path = tmp_path / "d.csv"
+    path.write_bytes(text.encode())
+    with open(path) as handle:
+        body = handle.read()
+    assert (_parse_bulk(body) is not None) == bulk
+    try:
+        expected = _parse_lines(body, str(path))
+    except ConfigurationError as exc:
+        with pytest.raises(ConfigurationError) as got:
+            read_dataset(str(path))
+        assert str(got.value) == str(exc)
+        return
+    data = read_dataset(str(path))
+    assert data.y.tobytes() == expected[:, 0].tobytes()
+    assert data.X.tobytes() == np.ascontiguousarray(expected[:, 1:]).tobytes()
+    assert data.X.strides == expected[:, 1:].strides
+
+
+def test_bulk_parser_is_bit_identical_at_scale(tmp_path):
+    # 4096 rows of shortest reprs, 17- and 25-digit spellings, subnormals
+    # and signed zeros across 600 decades
+    rng = np.random.default_rng(11)
+    values = rng.standard_normal((4096, 3)) * 10.0 ** rng.integers(-300, 300, (4096, 3))
+    values[::97, 1] = -0.0
+    values[::89, 2] = 5e-324 * rng.integers(1, 1000, values[::89, 2].shape)
+    spell = [repr, lambda v: "%.17g" % v, lambda v: "%.25e" % v]
+    lines = ["y,x1,x2"] + [",".join(spell[(i + j) % 3](float(v)) for j, v in enumerate(row))
+                           for i, row in enumerate(values)]
+    path = tmp_path / "big.csv"
+    path.write_text("\n".join(lines) + "\n")
+    body = path.read_text()
+    table = _parse_bulk(body)
+    assert table is not None
+    assert table.tobytes() == _parse_lines(body, str(path)).tobytes()
+    data = read_dataset(str(path))
+    assert data.y.tobytes() == table[:, 0].tobytes()
+
+
+def _oracle_default(obj):
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, np.generic):
+        return obj.item()
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return dataclasses.asdict(obj)
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
+def _assert_matches_oracle(document):
+    fragments = []
+    _dump_json(document, fragments.append)
+    oracle = json.dumps(document, indent=2, sort_keys=True, default=_oracle_default)
+    assert "".join(fragments) == oracle
+
+
+def _captured_documents(monkeypatch, argv):
+    documents = []
+    monkeypatch.setattr(cli, "_write_json", lambda document, out: documents.append(document))
+    assert main(argv) == 0
+    return documents
+
+
+class TestJsonWriter:
+    def test_fit_report_at_65536(self, tmp_path, monkeypatch):
+        n = 65536
+        rng = np.random.default_rng(2)
+        X = rng.standard_normal((n, 2))
+        y = X @ [1.0, -0.5] + np.sin(np.arange(n) / 900.0) + rng.standard_normal(n)
+        path = tmp_path / "big.csv"
+        np.savetxt(path, np.column_stack([y, X]), fmt="%.17g", delimiter=",",
+                   header="y,x1,x2", comments="")
+        [document] = _captured_documents(monkeypatch, ["fit", str(path), "--kappa", "2"])
+        assert document["f_hat"].size == n
+        _assert_matches_oracle(document)
+
+    def test_simulate_report_with_a_failed_replication(self, monkeypatch):
+        [document] = _captured_documents(monkeypatch, [
+            "simulate", "--family", "poisson", "--n", "256", "--reps", "6", "--kappa", "20",
+            "--seed", "5", "--lambda", "2.8213", "--snr-f", "1.5"])
+        assert document["failures"] == 1
+        assert np.isnan(document["betas"]).any() and document["betas"].ndim == 2
+        assert document["iteration_counts"].dtype.kind == "i"
+        _assert_matches_oracle(document)
+
+    def test_calibrate_sweep_document(self, monkeypatch):
+        [document] = _captured_documents(monkeypatch, [
+            "calibrate", "--n", "64", "--reps", "2", "--seed", "1", "--kappa", "150",
+            "--delta", "1e-8", "--snr-f", "5", "--sweep-m", "8,24",
+            "--ratio-grid", "lin:0.5:1.5:3"])
+        _assert_matches_oracle(document)
+
+    def test_edge_values(self):
+        _assert_matches_oracle({
+            "empty": [np.array([]), np.zeros((0, 3)), np.zeros((2, 0)), [], (), {}],
+            "floats": np.array([-0.0, 1e-300, 1e16, 5e-324, 0.1, -1.5e308]),
+            "non_finite": np.array([[1.0, np.nan], [np.inf, -np.inf]]),
+            "float32": np.array([0.1, -2.5], dtype=np.float32),
+            "ints": np.array([3, -7], dtype=np.int64),
+            "bools": np.array([True, False]),
+            "zero_d": np.array(2.5),
+            "scalars": [np.float64(-0.0), np.float32(0.1), np.int64(7), np.int8(-3),
+                        np.bool_(True), np.float64("nan"), float("-inf")],
+            "leaves": [None, True, False, 0, -12, 1e16, "plain"],
+            "escaped \"key\"\n": "quote \" backslash \\ tab \t nul \x00 é \u2028 \U0001f600",
+            "nested": {"config": FitConfig(), "b": [{"z": 1, "a": [2, [3.5]]}]},
+        })
+
+    def test_writes_file_and_stdout_alike(self, tmp_path, capsys):
+        document = {"command": "fit", "f_hat": np.linspace(-1.0, 1.0, 9), "config": FitConfig()}
+        out = tmp_path / "doc.json"
+        cli._write_json(document, str(out))
+        cli._write_json(document, None)
+        expected = json.dumps(document, indent=2, sort_keys=True, default=_oracle_default) + "\n"
+        assert out.read_text() == expected
+        assert capsys.readouterr().out == expected
 
 
 class TestFitCommand:

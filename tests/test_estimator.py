@@ -145,7 +145,8 @@ class TestThresholdVector:
     @pytest.mark.parametrize("kind", ["gaussian", "poisson"])
     def test_cached_psi_t_one_is_bit_identical(self, kind):
         # lambda |dwt(w * idwt(1))| with Psi^T 1 synthesized afresh, against
-        # the vector taken from a cold and then from a warm cache
+        # the vector taken from a cold and then from a warm cache (for the
+        # gaussian w = 1, lambda times the cached base)
         from wavegplm.estimator import _synthesized_ones
 
         n, j0, lam = 256, 3, 1.7
@@ -163,6 +164,14 @@ class TestThresholdVector:
             np.testing.assert_array_equal(thr, expected)
             np.testing.assert_array_equal(np.signbit(thr), np.signbit(expected))
         assert _synthesized_ones.cache_info().hits == 1
+        signal, base = _synthesized_ones(n, filt.name, j0)
+        assert _synthesized_ones.cache_info()[:2] == (2, 1)  # hits, misses
+        expected_base = np.abs(dwt(ones, filt, j0).values)
+        expected_base[:1 << j0] = 0.0
+        for cached, reference in ((signal, ones), (base, expected_base)):
+            assert not cached.flags.writeable
+            np.testing.assert_array_equal(cached, reference)
+            np.testing.assert_array_equal(np.signbit(cached), np.signbit(reference))
 
 
 def _gaussian_data(seed, n=64, p=2, sigma=1.0):
@@ -326,9 +335,10 @@ class TestBackfit:
         assert not fit.converged
 
     def test_transform_budget(self, monkeypatch):
-        # per outer iteration: dwt of the pseudo-response and of the
-        # threshold signal, idwt of theta; Psi^T 1 costs one idwt per
-        # cold cache, and the criterion no transform
+        # per gaussian outer iteration: dwt of the pseudo-response, idwt of
+        # theta; the unit-weight thresholds and the criterion need no
+        # transform, and Psi^T 1 with its threshold base cost one idwt and
+        # one dwt per cold cache
         import wavegplm.estimator as estimator
 
         estimator._synthesized_ones.cache_clear()
@@ -345,10 +355,11 @@ class TestBackfit:
         monkeypatch.setattr(estimator, "dwt", counted("dwt"))
         monkeypatch.setattr(estimator, "idwt", counted("idwt"))
         data, _, _ = _gaussian_data(2)
-        fit = backfit(data, Gaussian(), FitConfig(kappa=25, delta=0.0))
-        assert fit.iterations >= 20
-        assert 2 * fit.iterations <= calls["dwt"] <= 2 * fit.iterations + 1
-        assert calls["idwt"] == fit.iterations + 1
+        for cold in (1, 0):
+            calls.update(dwt=0, idwt=0)
+            fit = backfit(data, Gaussian(), FitConfig(kappa=25, delta=0.0))
+            assert fit.iterations >= 20
+            assert calls == {"dwt": fit.iterations + cold, "idwt": fit.iterations + cold}
 
     def test_poisson_divergence_detected(self):
         # a threshold far below the universal level lets the poisson
