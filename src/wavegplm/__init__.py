@@ -17,6 +17,7 @@ from .estimator import (
     GplmFit,
     PenaltyConfig,
     backfit,
+    backfit_rows,
     criterion_value,
     default_coarse_level,
     functional_step,

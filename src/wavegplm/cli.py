@@ -200,16 +200,16 @@ def _parse_bulk(text: str) -> np.ndarray | None:
 
 
 def read_dataset(path: str) -> Dataset:
-    """Delimited text with a header line 'y,x1,...,xp' (comma or whitespace).
+    """Delimited UTF-8 text with a header line 'y,x1,...,xp' (comma or whitespace).
 
     The body is parsed in bulk; any file the bulk parser rejects goes
     through the line parser, which accepts what ``float`` accepts and
     names the file line of the first bad cell.
     """
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read dataset file {path!r}: {exc}") from exc
     data = _parse_bulk(text)
     if data is None:

@@ -16,6 +16,18 @@ theta, so an outer iteration does 2 dwt (pseudo-response, thresholds)
 and 1 idwt; under the unit gaussian weights the thresholds come from a
 cache, and it does 1 dwt + 1 idwt.  Scaling coefficients are never
 penalized; the penalty acts on detail (wavelet) coefficients only.
+
+Lockstep: :func:`backfit_rows` runs one outer-iteration loop over a stack
+of R fits that share X, the family and the config, each row with its own
+y and threshold level; the steps, the criterion and the transforms work
+row by row on ``(R, n)`` arrays.  Rows that converge, reach kappa or fail
+leave the active set, and every row returns the bits a fit on its own
+returns: products go through the same BLAS calls per row (stacked
+``@`` and ``np.linalg.solve``, never ``einsum``) and sums run along the
+last axis.  An iteration that some row fails (non-finite eta, a singular
+solve, the sup-norm bound, a non-finite criterion) is redone one row at
+a time, so each row fails alone with its own message.  :func:`backfit`
+is the one-row call of that loop.
 """
 
 from __future__ import annotations
@@ -139,7 +151,11 @@ class FitConfig:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Responses y, covariates X (n x p), implicit grid t_i = i/n."""
+    """Responses y, covariates X (n x p), implicit grid t_i = i/n.
+
+    ``y`` may be a stack (R, n) of response vectors on the shared X, one
+    fit per row.
+    """
 
     y: np.ndarray
     X: np.ndarray
@@ -147,11 +163,11 @@ class Dataset:
     def __post_init__(self):
         y = np.asarray(self.y, dtype=float)
         X = np.asarray(self.X, dtype=float)
-        if y.ndim != 1:
-            raise DimensionError("y must be a vector")
-        if X.ndim != 2 or X.shape[0] != y.size:
+        if y.ndim not in (1, 2):
+            raise DimensionError("y must be a vector or a stack of row vectors")
+        if X.ndim != 2 or X.shape[0] != y.shape[-1]:
             raise DimensionError("X must be an n x p matrix matching y")
-        n = y.size
+        n = y.shape[-1]
         if n <= 0 or n & (n - 1):
             raise DimensionError(f"sample size {n} is not a power of two")
         if X.shape[1] >= n:
@@ -161,7 +177,7 @@ class Dataset:
 
     @property
     def n(self) -> int:
-        return self.y.size
+        return self.y.shape[-1]
 
     @property
     def p(self) -> int:
@@ -203,28 +219,30 @@ def _synthesized_ones(n: int, filter_name: str,
 
 
 def per_coefficient_thresholds(
-    lam: float,
+    lam: float | np.ndarray,
     noise_scale_diag: np.ndarray,
     filt: WaveletFilter,
     coarse_level: int,
 ) -> np.ndarray:
-    """Threshold vector lambda * |Psi diag(w) Psi^T 1|, scaling entries zeroed.
+    """Threshold vectors lambda * |Psi diag(w) Psi^T 1|, scaling entries zeroed.
 
     ``noise_scale_diag`` carries the per-observation noise scale of the
-    pseudo-responses, d eta/d mu = 1/bddot(eta).  For constant weights w
-    the vector is uniformly lambda * w on the detail blocks, recovering
-    the uniform gaussian threshold when w = 1; for w = 1 exactly it is
-    lambda times the cached base, with no transform.
+    pseudo-responses, d eta/d mu = 1/bddot(eta), one row of ``(..., n)``
+    per fit, and ``lam`` one level per row (or one for all).  For constant
+    weights w the vector is uniformly lambda * w on the detail blocks,
+    recovering the uniform gaussian threshold when w = 1; for w = 1
+    exactly it is lambda times the cached base, with no transform.
     """
     w = np.asarray(noise_scale_diag, dtype=float)
     if not np.all(np.isfinite(w)):
         raise NumericError("variance weights contain non-finite values")
-    signal, base = _synthesized_ones(w.size, filt.name, coarse_level)
+    lam = np.asarray(lam, dtype=float)[..., None]
+    signal, base = _synthesized_ones(w.shape[-1], filt.name, coarse_level)
     if (w == 1.0).all():
         return lam * base
     levels = dwt(w * signal, filt, coarse_level)
     thresholds = lam * np.abs(levels.values)
-    thresholds[levels.layout.scaling_slice] = 0.0
+    thresholds[..., levels.layout.scaling_slice] = 0.0
     return thresholds
 
 
@@ -236,9 +254,15 @@ def _sobolev_weights(layout: CoefficientLayout, s: float) -> np.ndarray:
     return weights
 
 
+def _linear_predictor(data: Dataset, beta, f) -> np.ndarray:
+    """eta = X beta + f, row by row: one BLAS gemv per row of ``beta``."""
+    beta = np.asarray(beta, dtype=float)
+    return (data.X @ beta[..., None])[..., 0] + f
+
+
 def _working_residual(data: Dataset, family: Family, beta, f) -> tuple[np.ndarray, np.ndarray]:
     """bddot(eta) and the working residual (y - mu)/bddot(eta) at eta = X beta + f."""
-    eta = data.X @ np.asarray(beta, dtype=float) + np.asarray(f, dtype=float)
+    eta = _linear_predictor(data, beta, f)
     weight = family.b_ddot(eta)  # W^{-1} = diag(b_ddot)
     return weight, (data.y - family.mean(eta)) / weight
 
@@ -250,61 +274,206 @@ def functional_step(
     f_current: np.ndarray,
     config: FitConfig,
     filt: WaveletFilter,
+    lam=None,
 ) -> WaveletCoefficients:
     """One functional Fisher-scoring step: the shrunk coefficients theta of
     the pseudo-response f + (y - mu)/bddot(eta), soft thresholded at
     :func:`per_coefficient_thresholds` (l1) or divided by 1 + lambda 2^(2js)
-    (Sobolev).  The new f is ``idwt(theta, filt)``."""
+    (Sobolev).  The new f is ``idwt(theta, filt)``.
+
+    Rows of ``data.y``, ``beta`` (..., p) and ``f_current`` (..., n) are
+    separate fits; ``lam`` gives each its threshold level, by default the
+    one ``config`` resolves to.
+    """
     penalty = config.penalty
     j0 = penalty.resolve_coarse_level(data.n)
-    lam = penalty.resolve_lambda(family, data.n)
+    if lam is None:
+        lam = penalty.resolve_lambda(family, data.n)
     weight, residual = _working_residual(data, family, beta, f_current)
     coeffs = dwt(f_current + residual, filt, j0)
-    values = coeffs.values.copy()
+    values = coeffs.values
     if penalty.kind == "l1":
         thresholds = per_coefficient_thresholds(lam, 1.0 / weight, filt, j0)
-        mask = coeffs.layout.detail_mask
-        values[mask] = soft_threshold(values[mask], thresholds[mask])
+        details = slice(1 << j0, None)
+        values[..., details] = soft_threshold(values[..., details], thresholds[..., details])
     else:
-        values /= 1.0 + lam * _sobolev_weights(coeffs.layout, penalty.sobolev_s)
-    return WaveletCoefficients(values=values, layout=coeffs.layout)
+        values /= 1.0 + np.asarray(lam)[..., None] * _sobolev_weights(coeffs.layout,
+                                                                      penalty.sobolev_s)
+    return coeffs
 
 
 def linear_step(data: Dataset, family: Family, beta_current: np.ndarray,
                 f: np.ndarray) -> np.ndarray:
     """One parametric Fisher-scoring step: weighted least squares of the
-    pseudo-response X beta + (y - mu)/bddot(eta) on X."""
+    pseudo-response X beta + (y - mu)/bddot(eta) on X, row by row."""
     weight, residual = _working_residual(data, family, beta_current, f)
-    pseudo = data.X @ np.asarray(beta_current, dtype=float) + residual
-    xtw = data.X.T * weight
+    pseudo = _linear_predictor(data, beta_current, residual)
+    # X^T W per row, laid out as the transpose of a C-ordered (n, p) array
+    xtw = np.swapaxes(data.X * weight[..., None], -1, -2)
     try:
-        return np.linalg.solve(xtw @ data.X, xtw @ pseudo)
+        return np.linalg.solve(xtw @ data.X, xtw @ pseudo[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
         raise RankError("singular weighted normal equations") from exc
 
 
 def initialize(data: Dataset, family: Family) -> tuple[np.ndarray, np.ndarray]:
-    """Starting values f^(0) = G(clamped y), beta^(0) = 0."""
-    return family.init_eta(data.y), np.zeros(data.p)
+    """Starting values f^(0) = G(clamped y), beta^(0) = 0, one per row of y."""
+    return family.init_eta(data.y), np.zeros(data.y.shape[:-1] + (data.p,))
 
 
-def penalty_value(coeffs: WaveletCoefficients, penalty: PenaltyConfig,
-                  lam: float) -> float:
-    """Pen(f) at threshold level ``lam``, on detail coefficients only."""
+def penalty_value(coeffs: WaveletCoefficients, penalty: PenaltyConfig, lam):
+    """Pen(f) at threshold level ``lam``, on detail coefficients only; one
+    value per row of ``coeffs`` (a float for a single vector)."""
     if penalty.kind == "l1":
-        return float(lam * np.sum(np.abs(coeffs.details)))
-    weights = _sobolev_weights(coeffs.layout, penalty.sobolev_s)
-    return 0.5 * lam * float(weights @ coeffs.values ** 2)
+        pen = lam * np.sum(np.abs(coeffs.details), axis=-1)
+    else:
+        weights = _sobolev_weights(coeffs.layout, penalty.sobolev_s)
+        squares = coeffs.values[..., None, :] ** 2
+        pen = 0.5 * lam * (squares @ weights[:, None])[..., 0, 0]
+    return pen if np.ndim(pen) else float(pen)
 
 
 def criterion_value(data: Dataset, family: Family, beta, f,
-                    coeffs: WaveletCoefficients, config: FitConfig) -> float:
+                    coeffs: WaveletCoefficients, config: FitConfig, lam=None):
     """Penalized loglikelihood K_n(beta, theta) = sum l(y_i, eta_i) - Pen(theta),
-    with eta = X beta + f and ``coeffs`` the coefficients theta of f."""
+    with eta = X beta + f and ``coeffs`` the coefficients theta of f; one
+    value per row, at ``lam`` or the level ``config`` resolves to."""
     penalty = config.penalty
-    eta = data.X @ np.asarray(beta, dtype=float) + np.asarray(f, dtype=float)
-    lam = penalty.resolve_lambda(family, data.n)
+    if lam is None:
+        lam = penalty.resolve_lambda(family, data.n)
+    eta = _linear_predictor(data, beta, f)
     return family.loglik(data.y, eta) - penalty_value(coeffs, penalty, lam)
+
+
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """||v_r|| per row as np.linalg.norm spells it for a vector: the square
+    root of a BLAS dot product of the row with itself."""
+    return np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0])
+
+
+@dataclass
+class _Active:
+    """The rows of a lockstep backfit that still iterate, and their state."""
+
+    ids: np.ndarray          # row numbers in the caller's stack
+    rows: Dataset
+    lam: np.ndarray
+    beta: np.ndarray
+    f: np.ndarray
+    theta: WaveletCoefficients | None
+    trace: np.ndarray        # K_n after each outer iteration, kappa columns
+    decreasing: np.ndarray   # consecutive criterion decreases
+
+    def take(self, keep, columns: int) -> "_Active":
+        """The rows that ``keep`` selects, with the first ``columns`` of the trace."""
+        trace = np.empty((self.ids[keep].size, self.trace.shape[1]))
+        trace[:, :columns] = self.trace[keep, :columns]
+        theta = None if self.theta is None else WaveletCoefficients(
+            values=self.theta.values[keep], layout=self.theta.layout)
+        return _Active(self.ids[keep], Dataset(y=self.rows.y[keep], X=self.rows.X),
+                       self.lam[keep], self.beta[keep], self.f[keep], theta, trace,
+                       self.decreasing[keep])
+
+    def iterate(self, family: Family, config: FitConfig, filt: WaveletFilter, k: int):
+        """Outer iteration k + 1 of every row: the new (theta, f, beta) and
+        K_n, or the error of the first check that some row fails."""
+        theta, f = self.theta, self.f
+        try:
+            if not config.freeze_f_at_zero:
+                theta = functional_step(self.rows, family, self.beta, f, config, filt, self.lam)
+                f = idwt(theta, filt)
+            beta = linear_step(self.rows, family, self.beta, f)
+        except (NumericError, RankError) as exc:
+            raise FitError(f"outer iteration {k + 1}: {exc}") from exc
+        if np.max(np.abs(f)) > EXPLOSION_BOUND or np.max(np.abs(beta)) > EXPLOSION_BOUND:
+            raise FitDivergenceError(
+                f"iterates exceeded sup-norm bound {EXPLOSION_BOUND:g} (outer iteration {k + 1})"
+            )
+        crit = criterion_value(self.rows, family, beta, f, theta, config, self.lam)
+        if not np.isfinite(crit).all():
+            raise FitError(f"outer iteration {k + 1}: non-finite criterion")
+        return theta, f, beta, crit
+
+    def error(self, family, config, filt, k) -> FitError | None:
+        try:
+            self.iterate(family, config, filt, k)
+        except FitError as exc:
+            return exc
+        return None
+
+
+def backfit_rows(data: Dataset, family: Family, config: FitConfig,
+                 lams=None) -> list[GplmFit | FitError]:
+    """Backfit every row of ``data.y`` (R, n) on the shared X in lockstep.
+
+    Row r is fitted at threshold level ``lams[r]`` (by default the level
+    ``config`` resolves to) and gets the :class:`GplmFit` that
+    :func:`backfit` returns for it alone, bit for bit, or the error that
+    :func:`backfit` raises for it.  All active rows go through each outer
+    iteration together; a row that converges, reaches kappa or fails
+    leaves the active set.  When an iteration fails, each row tries it
+    alone; those that fail it drop out and the others redo it together.
+    A :class:`NumericError` from the criterion (a non-finite eta that the
+    sup-norm check lets through) ends the call, as it ends :func:`backfit`.
+    """
+    n, X = data.n, data.X
+    y = data.y.reshape(-1, n)
+    count = y.shape[0]
+    filt = make_filter(config.filter_name)
+    if lams is None:
+        lam = np.full(count, config.penalty.resolve_lambda(family, n))
+    else:
+        lam = np.array(lams, dtype=float)
+        if lam.shape != (count,):
+            raise DimensionError(f"need one threshold level per row, got shape {lam.shape}")
+    rows = Dataset(y=y, X=X)
+    theta = None
+    if config.freeze_f_at_zero:
+        f, beta = np.zeros(y.shape), np.zeros((count, data.p))
+        theta = dwt(f, filt, config.penalty.resolve_coarse_level(n))
+    else:
+        f, beta = initialize(rows, family)
+    active = _Active(np.arange(count), rows, lam, beta, f, theta,
+                     np.empty((count, config.kappa)), np.zeros(count, dtype=int))
+    results: list = [None] * count
+    for k in range(config.kappa):
+        try:
+            theta, f, beta, crit = active.iterate(family, config, filt, k)
+        except FitError as exc:
+            errors = [exc] if active.ids.size == 1 else [
+                active.take(slice(i, i + 1), 0).error(family, config, filt, k)
+                for i in range(active.ids.size)]
+            failed = np.array([error is not None for error in errors])
+            for i in np.flatnonzero(failed):
+                results[active.ids[i]] = errors[i]
+            if failed.all():
+                break
+            active = active.take(~failed, k)
+            theta, f, beta, crit = active.iterate(family, config, filt, k)
+        trace = active.trace
+        if k:
+            active.decreasing = np.where(crit < trace[:, k - 1], active.decreasing + 1, 0)
+        trace[:, k] = crit
+        gave_up = active.decreasing >= DIVERGENCE_PATIENCE
+        converged = _row_norms(beta - active.beta) <= config.delta * _row_norms(active.beta)
+        active.theta, active.f, active.beta = theta, f, beta
+        done = gave_up | converged | (k + 1 == config.kappa)
+        if not done.any():
+            continue
+        for i in np.flatnonzero(done):
+            results[active.ids[i]] = FitDivergenceError(
+                f"criterion decreased over {DIVERGENCE_PATIENCE} consecutive "
+                f"iterations (outer iteration {k + 1})"
+            ) if gave_up[i] else GplmFit(
+                beta=beta[i], f_hat=f[i], iterations=k + 1, converged=bool(converged[i]),
+                final_loglik=family.loglik(active.rows.y[i], X @ beta[i] + f[i]),
+                criterion=float(trace[i, k]), lam=float(active.lam[i]),
+                trace=trace[i, :k + 1].copy(),
+            )
+        if done.all():
+            break
+        active = active.take(~done, k + 1)
+    return results
 
 
 def backfit(data: Dataset, family: Family, config: FitConfig) -> GplmFit:
@@ -315,52 +484,11 @@ def backfit(data: Dataset, family: Family, config: FitConfig) -> GplmFit:
     iterations.  Aborts with :class:`FitDivergenceError` when f or beta
     leaves the sup-norm bound EXPLOSION_BOUND, or when the penalized
     criterion decreases over DIVERGENCE_PATIENCE consecutive iterations.
+    This is :func:`backfit_rows` on one row.
     """
-    filt = make_filter(config.filter_name)
-    f, beta = initialize(data, family)
-    if config.freeze_f_at_zero:
-        f = np.zeros(data.n)
-        theta = dwt(f, filt, config.penalty.resolve_coarse_level(data.n))
-    trace = []
-    converged = False
-    decreasing = 0
-    for k in range(config.kappa):
-        try:
-            if not config.freeze_f_at_zero:
-                theta = functional_step(data, family, beta, f, config, filt)
-                f = idwt(theta, filt)
-            beta_new = linear_step(data, family, beta, f)
-        except (NumericError, RankError) as exc:
-            raise FitError(f"outer iteration {k + 1}: {exc}") from exc
-        if np.max(np.abs(f)) > EXPLOSION_BOUND or np.max(np.abs(beta_new)) > EXPLOSION_BOUND:
-            raise FitDivergenceError(
-                f"iterates exceeded sup-norm bound {EXPLOSION_BOUND:g} "
-                f"(outer iteration {k + 1})"
-            )
-        crit = criterion_value(data, family, beta_new, f, theta, config)
-        if not np.isfinite(crit):
-            raise FitError(f"outer iteration {k + 1}: non-finite criterion")
-        decreasing = decreasing + 1 if trace and crit < trace[-1] else 0
-        if decreasing >= DIVERGENCE_PATIENCE:
-            raise FitDivergenceError(
-                f"criterion decreased over {DIVERGENCE_PATIENCE} consecutive "
-                f"iterations (outer iteration {k + 1})"
-            )
-        trace.append(crit)
-        step = float(np.linalg.norm(beta_new - beta))
-        denom = float(np.linalg.norm(beta))
-        beta = beta_new
-        if step <= config.delta * denom:
-            converged = True
-            break
-    eta = data.X @ beta + f
-    return GplmFit(
-        beta=beta,
-        f_hat=f,
-        iterations=len(trace),
-        converged=converged,
-        final_loglik=family.loglik(data.y, eta),
-        criterion=trace[-1],
-        lam=config.penalty.resolve_lambda(family, data.n),
-        trace=np.asarray(trace),
-    )
+    if data.y.ndim != 1:
+        raise DimensionError("backfit fits one response vector; use backfit_rows for a stack")
+    [fit] = backfit_rows(data, family, config)
+    if isinstance(fit, Exception):
+        raise fit
+    return fit

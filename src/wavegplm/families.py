@@ -63,10 +63,12 @@ class Family:
 
     # -- likelihood ----------------------------------------------------
     def loglik(self, y, eta):
-        """Sum of y*eta - b(eta); dispersion and c(y, phi) terms dropped."""
+        """Sum of y*eta - b(eta) along the last axis (a float for vectors,
+        one sum per row for stacks); dispersion and c(y, phi) terms dropped."""
         eta = _check_finite(eta)
         y = np.asarray(y, dtype=float)
-        return float(np.sum(y * eta - self.cumulant(eta)))
+        total = np.sum(y * eta - self.cumulant(eta), axis=-1)
+        return total if total.ndim else float(total)
 
     # -- sampling ------------------------------------------------------
     def sample(self, eta, rng: np.random.Generator):

@@ -5,21 +5,34 @@ Seeding contract: the covariate design is drawn from the stream
 ``default_rng([seed, 0])`` and replication r (0-based) from
 ``default_rng([seed, r + 1])``, so each replication's draws depend only on
 the master seed and its own index.
+
+Monte Carlo runs and threshold sweeps fit their replications in lockstep
+(:func:`wavegplm.estimator.backfit_rows`): a sweep draws each
+replication's y once and fits it at every threshold level of the grid.
+Rows go in blocks of at most LOCKSTEP_ELEMENTS = 2^15 response values
+R * n, where the cost per row of an iteration stops falling (measured at
+n = 64, 256 and 1024); at n >= 32768 a block is one row, so a large-n
+run holds one response vector at a time, as a one-fit-at-a-time loop does.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError, FitError
-from .estimator import Dataset, FitConfig, backfit
+# backfit is not called here; it stays reachable as wavegplm.simulate.backfit
+from .estimator import Dataset, FitConfig, backfit, backfit_rows  # noqa: F401
 from .families import Family, make_family
 
 TEST_FUNCTIONS = ("sinus", "blocs", "pics")
+
+#: most response values R * n in one lockstep block of fits; the cost per
+#: row of an iteration is flat from about 2^13 to 2^15 values and rises beyond
+LOCKSTEP_ELEMENTS = 1 << 15
 
 # Jump locations and signed heights of the classical piecewise-constant
 # 11-jump benchmark signal, and the matching localized-peaks benchmark.
@@ -199,13 +212,8 @@ def replication_rng(seed: int, r: int) -> np.random.Generator:
     return np.random.default_rng([seed, r + 1])
 
 
-def run_monte_carlo(config: SimulationConfig) -> SimulationReport:
-    """Draw the design once, then fit ``replications`` seeded datasets.
-
-    Fit failures (divergence, singular weights) are recorded per
-    replication and never abort the run.
-    """
-    family = config.family()
+def _design(config: SimulationConfig, family: Family):
+    """Covariates X, true f0, the SNRs and the true eta0 of an experiment."""
     rng = design_rng(config.seed)
     X = covariate_design(config.n, config.p, rng)
     beta0 = np.full(config.p, config.beta0)
@@ -220,19 +228,46 @@ def run_monte_carlo(config: SimulationConfig) -> SimulationReport:
     f0 = test_function(config.function, config.n, config.target_snr_f,
                        phi=family.phi).values
     snr_f, snr_b = snr(family, X, beta0, f0)
-    eta0 = X @ beta0 + f0
+    return X, f0, snr_f, snr_b, X @ beta0 + f0
 
+
+def _fit_replications(config: SimulationConfig, family: Family, X, eta0, lams):
+    """Fit every replication at every level of ``lams`` in lockstep blocks of
+    at most LOCKSTEP_ELEMENTS response values, replication-major; each
+    replication's y is drawn once.  Yields (r, level index, fit or FitError)."""
+    pairs = [(r, g) for r in range(config.replications) for g in range(len(lams))]
+    block = max(1, LOCKSTEP_ELEMENTS // config.n)
+    drawn, y = -1, None
+    for start in range(0, len(pairs), block):
+        chunk = pairs[start:start + block]
+        ys = []
+        for r, _ in chunk:
+            if r != drawn:
+                drawn, y = r, family.sample(eta0, replication_rng(config.seed, r))
+            ys.append(y)
+        fits = backfit_rows(Dataset(y=np.array(ys), X=X), family, config.fit,
+                            [lams[g] for _, g in chunk])
+        yield from ((r, g, fit) for (r, g), fit in zip(chunk, fits))
+
+
+def run_monte_carlo(config: SimulationConfig) -> SimulationReport:
+    """Draw the design once, then fit ``replications`` seeded datasets in
+    lockstep blocks.
+
+    Fit failures (divergence, singular weights) are recorded per
+    replication and never abort the run.
+    """
+    family = config.family()
+    X, f0, snr_f, snr_b, eta0 = _design(config, family)
     betas = np.full((config.replications, config.p), np.nan)
     rmises = np.full(config.replications, np.nan)
     iters = np.zeros(config.replications, dtype=int)
     failures = 0
     example_f_hat = np.full(config.n, np.nan)
     started = time.perf_counter()
-    for r in range(config.replications):
-        y = family.sample(eta0, replication_rng(config.seed, r))
-        try:
-            fit = backfit(Dataset(y=y, X=X), family, config.fit)
-        except FitError:
+    lam = config.fit.penalty.resolve_lambda(family, config.n)
+    for r, _, fit in _fit_replications(config, family, X, eta0, [lam]):
+        if isinstance(fit, FitError):
             failures += 1
             continue
         betas[r] = fit.beta
@@ -266,20 +301,26 @@ class ThresholdCurve:
 
 
 def calibrate_threshold(config: SimulationConfig, lambda_grid) -> ThresholdCurve:
-    """Sweep fixed threshold levels over shared-seed Monte Carlo runs; the
+    """Sweep fixed threshold levels over shared-seed Monte Carlo runs: every
+    replication, drawn once, is fitted at every level in lockstep.  The
     argmin skips grid points where every fit failed (FitError if all did)."""
     lam_grid = np.asarray(lambda_grid, dtype=float)
     if lam_grid.size == 0:
         raise ConfigurationError("threshold grid must be nonempty")
     if lam_grid.size > 1 and not np.all(np.diff(lam_grid) > 0):
         raise ConfigurationError("threshold grid must be strictly increasing")
-    curve = np.empty(lam_grid.size)
+    family = config.family()
+    X, f0, _, _, eta0 = _design(config, family)
+    rmises = np.full((lam_grid.size, config.replications), np.nan)
     failures = np.zeros(lam_grid.size, dtype=int)
-    for i, lam in enumerate(lam_grid):
-        fit_cfg = replace(config.fit, penalty=replace(config.fit.penalty, lam=float(lam)))
-        report = run_monte_carlo(replace(config, fit=fit_cfg))
-        curve[i] = report.mean_rmise
-        failures[i] = report.failures
+    for r, g, fit in _fit_replications(config, family, X, eta0, lam_grid):
+        if isinstance(fit, FitError):
+            failures[g] += 1
+        else:
+            rmises[g, r] = rmise(fit.f_hat, f0)
+    # the mean over the fits that returned, as SimulationReport.mean_rmise
+    curve = np.array([np.nanmean(row) if failed < row.size else math.nan
+                      for row, failed in zip(rmises, failures)])
     if np.isnan(curve).all():
         raise FitError("every fit failed at every threshold of the grid")
     argmin = float(lam_grid[int(np.nanargmin(curve))])

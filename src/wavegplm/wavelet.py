@@ -10,6 +10,13 @@ Coefficient vectors are stored flat, ordered as
 
 so the finest-scale details sit at the end of the vector.
 
+Both transforms act along the last axis of a ``(..., n)`` array, so one
+call transforms a stack of signals (one fit per row in a lockstep
+backfit).  Every row gets the bits its own 1-d call gives: each row's
+windows go through their own BLAS product, and synthesis adds the same
+slices for all rows at once, which spreads the per-level Python cost of
+the slice additions over the rows.
+
 Sign convention: the highpass filter is derived from the lowpass taps h by
 the quadrature-mirror relation g_k = (-1)^k h_{L-1-k}.  For the Haar filter
 this yields detail coefficients d_k = (e_{2k} - e_{2k+1}) / sqrt(2).
@@ -194,16 +201,17 @@ def coefficient_layout(n: int, coarse_level: int) -> CoefficientLayout:
 
 @dataclass(frozen=True)
 class WaveletCoefficients:
-    """Flat DWT coefficient vector together with its block layout."""
+    """Flat DWT coefficient vectors, one per row of a ``(..., n)`` array,
+    together with their block layout."""
 
     values: np.ndarray
     layout: CoefficientLayout
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1 or v.size != self.layout.n:
+        if v.ndim == 0 or v.shape[-1] != self.layout.n:
             raise DimensionError(
-                f"coefficient vector of length {v.size} does not match layout n={self.layout.n}"
+                f"coefficient vectors of shape {v.shape} do not match layout n={self.layout.n}"
             )
         object.__setattr__(self, "values", v)
 
@@ -213,74 +221,78 @@ class WaveletCoefficients:
 
     @property
     def scaling(self) -> np.ndarray:
-        return self.values[self.layout.scaling_slice]
+        return self.values[..., self.layout.scaling_slice]
 
     @property
     def details(self) -> np.ndarray:
         """All detail coefficients, coarsest level first."""
-        return self.values[1 << self.layout.coarse_level:]
+        return self.values[..., 1 << self.layout.coarse_level:]
 
 
 def _analysis_stage(x: np.ndarray, filt: WaveletFilter):
-    m = x.size
+    m = x.shape[-1]
     L = len(filt)
     # window i holds x[(2i + l) mod m], l = 0..L-1: a strided view of enough
-    # copies of x end to end, copied so that both products are BLAS calls
-    extended = np.concatenate((x,) * -(-(m + L - 2) // m))
+    # copies of each row end to end, copied so that both products are BLAS
+    # calls, one per row as for a single signal
+    extended = np.concatenate((x,) * -(-(m + L - 2) // m), axis=-1)
     step = extended.itemsize
-    window = np.ndarray((m // 2, L), buffer=extended, strides=(2 * step, step)).copy()
+    window = np.ndarray(extended.shape[:-1] + (m // 2, L), buffer=extended,
+                        strides=extended.strides[:-1] + (2 * step, step)).copy()
     return window @ filt.lowpass, window @ filt.highpass
 
 
 def _synthesis_stage(approx: np.ndarray, detail: np.ndarray, filt: WaveletFilter) -> np.ndarray:
-    h = approx.size
+    rows, h = approx.shape
     half = len(filt) // 2
-    # terms[q, r, i] = h_l approx_i + g_l detail_i with l = 2q + r lands on
-    # x[2k + r] for k = (i + q) mod h; out[r, k] holds x[2k + r]
+    # terms[q, r, j, i] = h_l approx_ji + g_l detail_ji with l = 2q + r lands
+    # on x_j[2k + r] for k = (i + q) mod h; out[r, j, k] holds x_j[2k + r]
     terms = np.multiply.outer(filt.lowpass, approx)
     terms += np.multiply.outer(filt.highpass, detail)
-    terms = terms.reshape(half, 2, h)
-    out = np.zeros((2, h))
+    terms = terms.reshape(half, 2, rows, h)
+    out = np.zeros((2, rows, h))
     span = min(h, half)
     # each output adds its terms by increasing i, ties by increasing q: by
     # shift k - i = d from span - 1 down to 0, the terms that do not wrap,
     # then k - i = d - h from span - 1 down to 1, the terms that wrap
     for d in range(span - 1, -1, -1):
-        tail = out[:, d:]
+        tail = out[:, :, d:]
         for q in range(d, half, h):
-            tail += terms[q, :, :h - d]
+            tail += terms[q, :, :, :h - d]
     for d in range(span - 1, 0, -1):
-        head = out[:, :d]
+        head = out[:, :, :d]
         for q in range(d, half, h):
-            head += terms[q, :, h - d:]
-    return out.T.ravel()
+            head += terms[q, :, :, h - d:]
+    return out.transpose(1, 2, 0).reshape(rows, 2 * h)
 
 
 def dwt(signal: np.ndarray, filt: WaveletFilter, coarse_level: int) -> WaveletCoefficients:
-    """Forward periodic DWT of a length-2^J signal down to ``coarse_level``."""
+    """Forward periodic DWT of length-2^J signals down to ``coarse_level``,
+    along the last axis of a ``(..., n)`` array."""
     x = np.asarray(signal, dtype=float)
-    if x.ndim != 1:
-        raise DimensionError("dwt expects a 1-d signal")
-    layout = coefficient_layout(x.size, coarse_level)
-    out = np.empty(x.size)
+    if x.ndim == 0:
+        raise DimensionError("dwt expects signals along the last axis")
+    layout = coefficient_layout(x.shape[-1], coarse_level)
+    out = np.empty(x.shape)
     approx = x
-    size = x.size
+    size = layout.n
     while size > 1 << coarse_level:
-        approx, out[size // 2:size] = _analysis_stage(approx, filt)
+        approx, out[..., size // 2:size] = _analysis_stage(approx, filt)
         size //= 2
-    out[:size] = approx
+    out[..., :size] = approx
     return WaveletCoefficients(values=out, layout=layout)
 
 
 def idwt(coeffs: WaveletCoefficients, filt: WaveletFilter) -> np.ndarray:
-    """Inverse periodic DWT; exact transpose of :func:`dwt`."""
-    values = coeffs.values
-    approx = coeffs.scaling.copy()
-    size = approx.size
-    while size < values.size:
-        approx = _synthesis_stage(approx, values[size:2 * size], filt)
+    """Inverse periodic DWT of every row of ``coeffs``; exact transpose of :func:`dwt`."""
+    n = coeffs.layout.n
+    values = coeffs.values.reshape(-1, n)
+    size = 1 << coeffs.coarse_level
+    approx = values[:, :size].copy()
+    while size < n:
+        approx = _synthesis_stage(approx, values[:, size:2 * size], filt)
         size *= 2
-    return approx
+    return approx.reshape(coeffs.values.shape)
 
 
 def transform_matrix(n: int, filt: WaveletFilter, coarse_level: int) -> np.ndarray:

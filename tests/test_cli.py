@@ -114,17 +114,25 @@ PARSER_CASES = {
     "empty": ("", False),
     "unit-separator": ("y,x1\n1\x1f,2\n3,4\n", False),
     "no-final-newline": ("y,x1\n1,2\n3,4", True),
+    "non-ascii-utf-8": ("y,x1\n1,2\u00e9\n3,4\n", False),
+    "not-utf-8": (b"y,x1\n1,2\xff\n3,4\n", False),
 }
 
 
 @pytest.mark.parametrize("text, bulk", PARSER_CASES.values(), ids=PARSER_CASES.keys())
 def test_bulk_parser_agrees_with_line_parser(tmp_path, text, bulk):
     # read_dataset returns the line parser's table bit for bit, or raises
-    # its message byte for byte
+    # its message byte for byte; a file that is not UTF-8 fails to read
     path = tmp_path / "d.csv"
-    path.write_bytes(text.encode())
-    with open(path) as handle:
-        body = handle.read()
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    try:
+        with open(path, encoding="utf-8") as handle:
+            body = handle.read()
+    except UnicodeDecodeError as exc:
+        with pytest.raises(ConfigurationError) as got:
+            read_dataset(str(path))
+        assert str(got.value) == f"cannot read dataset file {str(path)!r}: {exc}"
+        return
     assert (_parse_bulk(body) is not None) == bulk
     try:
         expected = _parse_lines(body, str(path))
@@ -271,6 +279,12 @@ class TestFitCommand:
         path = tmp_path / "d.csv"
         path.write_text("y,x1\n" + "".join(f"{i},{i}\n" for i in range(12)))
         assert main(["fit", str(path)]) == 2
+
+    def test_non_utf8_input_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"y,x1\n1,2\xff\n3,4\n")
+        assert main(["fit", str(path)]) == 2
+        assert "cannot read dataset file" in capsys.readouterr().err
 
     def test_unknown_flag_exit_2(self, capsys):
         assert main(["fit", "x.csv", "--bogus"]) == 2

@@ -10,11 +10,13 @@ from wavegplm import (
     DimensionError,
     FitConfig,
     FitDivergenceError,
+    FitError,
     Gaussian,
     GplmFit,
     PenaltyConfig,
     WaveletCoefficients,
     backfit,
+    backfit_rows,
     coefficient_layout,
     criterion_value,
     default_coarse_level,
@@ -525,3 +527,81 @@ class TestSpecialCases:
         # backfit records the same criterion path
         fit = backfit(data, fam, config)
         np.testing.assert_array_equal(fit.trace, crits[:fit.iterations])
+
+
+def _lockstep_case(kind):
+    """(data with stacked y, family, config, per-row lambdas) of one mix of rows."""
+    from wavegplm.simulate import covariate_design, design_rng, replication_rng, test_function
+
+    n = 256
+    if kind == "gaussian":
+        # rows that converge at different iterations, and one row whose
+        # non-finite response fails the first iteration
+        family = make_family("gaussian")
+        X = covariate_design(n, 2, design_rng(3))
+        eta0 = X @ [1.0, -0.5] + test_function("sinus", n, 9.0).values
+        ys = [family.sample(eta0, replication_rng(3, r)) for r in range(4)]
+        ys.insert(2, np.where(np.arange(n) == 7, np.nan, ys[0]))
+        lams = [1.0, 3.3, 3.3, 2.0, 4.0]
+        return Dataset(y=np.array(ys), X=X), family, FitConfig(kappa=200, delta=1e-12), lams
+    if kind == "binomial":
+        # a row that cycles up to the cap among rows that converge
+        family = make_family("binomial", m=24)
+        X = covariate_design(n, 1, design_rng(11))
+        eta0 = X[:, 0] + test_function("sinus", n, 5.0, phi=family.phi).values
+        ys = [family.sample(eta0, replication_rng(11, r)) for r in range(4)]
+        lams = [0.2, 0.4, 0.3, 0.6]
+        return Dataset(y=np.array(ys), X=X), family, FitConfig(kappa=120, delta=1e-6), lams
+    # poisson seed 5: replication 5 leaves the sup-norm bound at iteration
+    # 14 (1.2 sqrt(log n)) and 84 (1.6 sqrt(log n)), replication 29 stops
+    # on the criterion's decrease, the other rows run to the cap
+    family = make_family("poisson")
+    X = covariate_design(n, 1, design_rng(5))
+    eta0 = X[:, 0] + test_function("sinus", n, 1.5).values
+    scale = math.sqrt(math.log(n))
+    rows = [(0, 1.2), (5, 1.2), (5, 1.6), (29, 2.0), (0, 2.4), (5, 2.4)]
+    ys = [family.sample(eta0, replication_rng(5, r)) for r, _ in rows]
+    lams = [q * scale for _, q in rows]
+    return Dataset(y=np.array(ys), X=X), family, FitConfig(kappa=100, delta=1e-12), lams
+
+
+def _assert_same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "binomial", "poisson", "singular"])
+def test_lockstep_rows_equal_one_row_backfits(kind):
+    data, family, config, lams = _lockstep_case("gaussian" if kind == "singular" else kind)
+    if kind == "singular":
+        data = Dataset(y=data.y, X=np.column_stack([data.X, np.zeros(data.n)]))
+    fits = backfit_rows(data, family, config, lams)
+    outcomes = []
+    for y, lam, fit in zip(data.y, lams, fits):
+        alone_config = replace(config, penalty=replace(config.penalty, lam=lam))
+        try:
+            alone = backfit(Dataset(y=y, X=data.X), family, alone_config)
+        except FitError as exc:
+            assert type(fit) is type(exc) and str(fit) == str(exc)
+            outcomes.append(str(exc))
+            continue
+        assert isinstance(fit, GplmFit)
+        for name in ("beta", "f_hat", "trace", "iterations", "converged", "criterion",
+                     "final_loglik", "lam"):
+            _assert_same_bits(getattr(fit, name), getattr(alone, name))
+        outcomes.append(("converged" if fit.converged else "cap", fit.iterations))
+    print(kind, outcomes)
+    if kind == "gaussian":
+        iterations = {o[1] for o in outcomes if o[0] == "converged"}
+        assert len(iterations) >= 3 and outcomes[2].endswith("non-finite values")
+    elif kind == "binomial":
+        assert ("cap", 120) in outcomes and any(o[0] == "converged" for o in outcomes)
+    elif kind == "poisson":
+        assert outcomes[1].endswith("(outer iteration 14)")
+        assert outcomes[2].endswith("(outer iteration 84)")
+        assert "criterion decreased" in outcomes[3]
+        assert outcomes[0] == outcomes[4] == outcomes[5] == ("cap", 100)
+    else:
+        singular = "outer iteration 1: singular weighted normal equations"
+        assert outcomes == [singular] * 2 + [
+            "outer iteration 1: natural parameter contains non-finite values"] + [singular] * 2

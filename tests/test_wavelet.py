@@ -233,3 +233,29 @@ def test_kernels_match_add_at_reference_bit_for_bit(name):
 def test_kernels_match_add_at_reference_at_65536():
     _assert_kernels_match_reference(make_filter("symmlet-8"), 1 << 16, 3,
                                     np.random.default_rng(16))
+
+
+@pytest.mark.parametrize("rows", [(1,), (2,), (7,), (2, 3)], ids=str)
+@pytest.mark.parametrize("name", SUPPORTED_FILTERS)
+def test_stacked_rows_match_one_dimensional_calls_bit_for_bit(name, rows):
+    # every row of a (..., n) transform equals the 1-d transform of that
+    # row (which the add.at reference pins down), down to coarse level 0
+    # and with a row of signed zeros among ordinary rows
+    filt = make_filter(name)
+    rng = np.random.default_rng([len(filt), *rows])
+    for J in range(1, 9):
+        n = 1 << J
+        for j0 in range(J + 1):
+            layout = coefficient_layout(n, j0)
+            wide = rng.standard_normal((2, *rows, n)) * 10.0 ** rng.uniform(-8, 8, (2, *rows, n))
+            zeroed = wide.copy()
+            zeroed[(slice(None),) + (0,) * len(rows)] = -0.0
+            for signals, values in (wide, zeroed):
+                forward = dwt(signals, filt, j0).values
+                inverse = idwt(WaveletCoefficients(values=values, layout=layout), filt)
+                assert forward.shape == inverse.shape == signals.shape
+                for row in np.ndindex(*rows):
+                    _assert_bits_equal(forward[row], dwt(signals[row], filt, j0).values)
+                    _assert_bits_equal(
+                        inverse[row],
+                        idwt(WaveletCoefficients(values=values[row], layout=layout), filt))
