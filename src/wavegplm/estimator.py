@@ -64,6 +64,14 @@ DIVERGENCE_PATIENCE = 50
 EXPLOSION_BOUND = 1e6
 
 
+def _check_threshold_levels(lam):
+    lam = np.asarray(lam, dtype=float)
+    # NaN fails both comparisons
+    bad = lam[~((lam >= 0) & (lam < np.inf))]
+    if bad.size:
+        raise ConfigurationError(f"threshold level must be finite and nonnegative, got {bad[0]}")
+
+
 def soft_threshold(x, lam):
     """sign(x) * max(|x| - lam, 0), elementwise."""
     x = np.asarray(x, dtype=float)
@@ -120,8 +128,8 @@ class PenaltyConfig:
     def __post_init__(self):
         if self.kind not in ("l1", "sobolev"):
             raise ConfigurationError(f"unknown penalty kind {self.kind!r}")
-        if self.lam is not None and self.lam < 0:
-            raise ConfigurationError("threshold level must be nonnegative")
+        if self.lam is not None:
+            _check_threshold_levels(self.lam)
         if self.kind == "sobolev" and not self.sobolev_s > 0.5:
             raise ConfigurationError("sobolev smoothness must exceed 1/2")
 
@@ -426,6 +434,7 @@ def backfit_rows(data: Dataset, family: Family, config: FitConfig,
         lam = np.array(lams, dtype=float)
         if lam.shape != (count,):
             raise DimensionError(f"need one threshold level per row, got shape {lam.shape}")
+        _check_threshold_levels(lam)
     rows = Dataset(y=y, X=X)
     theta = None
     if config.freeze_f_at_zero:

@@ -13,9 +13,9 @@ so the finest-scale details sit at the end of the vector.
 Both transforms act along the last axis of a ``(..., n)`` array, so one
 call transforms a stack of signals (one fit per row in a lockstep
 backfit).  Every row gets the bits its own 1-d call gives: each row's
-windows go through their own BLAS product, and synthesis adds the same
-slices for all rows at once, which spreads the per-level Python cost of
-the slice additions over the rows.
+windows go through their own BLAS product, and synthesis sums every row
+with the same two reductions per level, which spreads their per-level
+Python cost over the rows.
 
 Sign convention: the highpass filter is derived from the lowpass taps h by
 the quadrature-mirror relation g_k = (-1)^k h_{L-1-k}.  For the Haar filter
@@ -28,8 +28,18 @@ x[(2i + l) mod m], l = 0..L-1, with the lowpass or the highpass taps.
 Synthesis starts every output x[p] at +0.0 and adds the terms
 h_l a_i + g_l d_i with (2i + l) mod m = p in increasing i, ties in
 increasing l: the order of an unbuffered scatter-add over that circular
-index, which the tests keep as the reference.  No stage builds an index
-array or keeps state between calls.
+index, which the tests keep as the reference.  A level forms its L x m/2
+terms with two broadcasting multiplies and sums them with two
+``np.add.reduce(..., axis=0, initial=0.0, out=...)`` calls over strided
+views that list each output's terms in that order, one for the outputs
+whose terms do not wrap around the level and one, over a small copy of
+the columns they need, for the first L/2 - 1 outputs of each parity.
+This relies on numpy adding along a reduced axis that is not the fast
+one a term at a time into the result, with no pairwise regrouping (the
+``numpy.sum`` docs keep pairwise summation to the fast axis), and on
+``initial=0.0`` starting each output at +0.0.  Levels shorter than L/2,
+reached only below a coarse level of log2(L/2), add slices by shift
+instead.  No stage builds an index array or keeps state between calls.
 """
 
 from __future__ import annotations
@@ -245,25 +255,46 @@ def _analysis_stage(x: np.ndarray, filt: WaveletFilter):
 def _synthesis_stage(approx: np.ndarray, detail: np.ndarray, filt: WaveletFilter) -> np.ndarray:
     rows, h = approx.shape
     half = len(filt) // 2
-    # terms[q, r, j, i] = h_l approx_ji + g_l detail_ji with l = 2q + r lands
-    # on x_j[2k + r] for k = (i + q) mod h; out[r, j, k] holds x_j[2k + r]
-    terms = np.multiply.outer(filt.lowpass, approx)
-    terms += np.multiply.outer(filt.highpass, detail)
-    terms = terms.reshape(half, 2, rows, h)
-    out = np.zeros((2, rows, h))
-    span = min(h, half)
-    # each output adds its terms by increasing i, ties by increasing q: by
-    # shift k - i = d from span - 1 down to 0, the terms that do not wrap,
-    # then k - i = d - h from span - 1 down to 1, the terms that wrap
-    for d in range(span - 1, -1, -1):
-        tail = out[:, :, d:]
-        for q in range(d, half, h):
-            tail += terms[q, :, :, :h - d]
-    for d in range(span - 1, 0, -1):
-        head = out[:, :, :d]
-        for q in range(d, half, h):
-            head += terms[q, :, :, h - d:]
-    return out.transpose(1, 2, 0).reshape(rows, 2 * h)
+    # terms[s, r, j, i] = h_l approx_ji + g_l detail_ji with l = 2q + r and
+    # q = half - 1 - s lands on x_j[2k + r] for k = (i + q) mod h; slabs run
+    # by decreasing q, so that in the views below the summed axis s steps
+    # forward through memory and stays the outer loop of each reduction
+    lowpass, highpass = (taps.reshape(half, 2)[::-1, :, None, None]
+                         for taps in (filt.lowpass, filt.highpass))
+    terms = np.multiply(lowpass, approx, out=np.empty((half, 2, rows, h)))
+    terms += highpass * detail
+    out = np.zeros((rows, h, 2))
+    # planes[r, j, k] is x_j[2k + r]; its inner axis k keeps the inner loop
+    # of each reduction long
+    planes = out.transpose(2, 0, 1)
+    if h < half:
+        # a level shorter than half the filter, around which the terms wrap
+        # several times: add slices by shift k - i = d from h - 1 down to 0,
+        # the terms that do not wrap, then k - i = d - h from h - 1 down to
+        # 1, the terms that wrap; ties by increasing q
+        for d in range(h - 1, -1, -1):
+            for q in range(d, half, h):
+                planes[:, :, d:] += terms[half - 1 - q, :, :, :h - d]
+        for d in range(h - 1, 0, -1):
+            for q in range(d, half, h):
+                planes[:, :, :d] += terms[half - 1 - q, :, :, h - d:]
+        return out.reshape(rows, 2 * h)
+    s0, s1, s2, s3 = terms.strides
+    # output k >= half - 1 adds terms[s, :, :, k - half + 1 + s] by increasing
+    # s, which is increasing i; none of them wraps
+    np.add.reduce(np.ndarray((half, 2, rows, h - half + 1), buffer=terms,
+                             strides=(s0 + s3, s1, s2, s3)),
+                  axis=0, initial=0.0, out=planes[:, :, half - 1:])
+    # output k < half - 1 adds, by increasing i, the columns i = 0..k (slab
+    # s = half - 1 - k + i) and then the wrapped columns i = h - half + c,
+    # c = k + 1..half - 1 (slab c - k - 1): after the first columns of every
+    # slab, head holds the last columns of the slabs with q >= 1
+    head = np.concatenate((terms[:, :, :, :half], terms[:half - 1, :, :, h - half:]))
+    s0, s1, s2, s3 = head.strides
+    np.add.reduce(np.ndarray((half, 2, rows, half - 1), buffer=head,
+                             offset=(half - 1) * s0, strides=(s0 + s3, s1, s2, -s0)),
+                  axis=0, initial=0.0, out=planes[:, :, :half - 1])
+    return out.reshape(rows, 2 * h)
 
 
 def dwt(signal: np.ndarray, filt: WaveletFilter, coarse_level: int) -> WaveletCoefficients:

@@ -272,6 +272,13 @@ class TestFitCommand:
         assert rc == 0
         assert json.loads(out.read_text())["lambda"] == 1.25
 
+    @pytest.mark.parametrize("lam", ["-1", "nan", "inf"])
+    def test_negative_or_non_finite_lambda_exit_2(self, tmp_path, capsys, lam):
+        data_path = tmp_path / "d.csv"
+        _write_gaussian_dataset(data_path)
+        assert main(["fit", str(data_path), f"--lambda={lam}"]) == 2
+        assert "finite and nonnegative" in capsys.readouterr().err
+
     def test_missing_input_exit_2(self, capsys):
         assert main(["fit", "/no/such/file.csv"]) == 2
 
@@ -343,6 +350,12 @@ class TestCalibrateCommand:
 
     def test_requires_a_grid(self, capsys):
         assert main(["calibrate", "--n", "64"]) == 2
+
+    @pytest.mark.parametrize("grid", ["-1,2", "1,inf"])
+    def test_negative_or_non_finite_grid_exit_2(self, capsys, grid):
+        assert main(["calibrate", "--n", "64", "--reps", "2", "--seed", "1",
+                     "--kappa", "50", f"--lambda-grid={grid}"]) == 2
+        assert "finite and nonnegative" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag, spec", [("--lambda-grid", "1.0,two"),
                                             ("--sweep-m", "8,x"),

@@ -92,8 +92,16 @@ class TestConfigValidation:
             PenaltyConfig(kind="l2")
 
     def test_negative_lambda(self):
-        with pytest.raises(ConfigurationError):
-            PenaltyConfig(lam=-0.5)
+        # NaN and inf as well, which `lam < 0` lets through
+        for lam in (-0.5, math.nan, math.inf):
+            with pytest.raises(ConfigurationError, match="finite and nonnegative"):
+                PenaltyConfig(lam=lam)
+
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+    def test_lockstep_rejects_negative_or_non_finite_levels(self, bad):
+        data, family, config, lams = _lockstep_case("gaussian")
+        with pytest.raises(ConfigurationError, match="finite and nonnegative"):
+            backfit_rows(data, family, config, lams[:-1] + [bad])
 
     def test_sobolev_smoothness(self):
         with pytest.raises(ConfigurationError):

@@ -212,9 +212,13 @@ def _assert_bits_equal(actual, expected):
 
 def _assert_kernels_match_reference(filt, n, j0, rng):
     layout = coefficient_layout(n, j0)
-    # magnitudes from 1e-8 to 1e8 in one vector, then all -0.0
+    # magnitudes from 1e-8 to 1e8 in one vector, then all -0.0, then terms
+    # that cancel, so that summing an output in any other order or grouping
+    # moves its bits (for filters with three or more terms per output)
     wide = rng.standard_normal((2, n)) * 10.0 ** rng.uniform(-8, 8, (2, n))
-    for signal, values in ((wide[0], wide[1]), (np.full(n, -0.0), np.full(n, -0.0))):
+    cancel = np.resize([1e16, 1.0, -1e16, -1.0], n)
+    for signal, values in ((wide[0], wide[1]), (np.full(n, -0.0), np.full(n, -0.0)),
+                           (cancel, cancel)):
         _assert_bits_equal(dwt(signal, filt, j0).values, _reference_dwt(signal, filt, j0))
         _assert_bits_equal(idwt(WaveletCoefficients(values=values, layout=layout), filt),
                            _reference_idwt(values, filt, j0))
