@@ -28,7 +28,7 @@ from .estimator import (
     soft_threshold,
     universal_lambda,
 )
-from .families import Binomial, Family, Gaussian, Poisson, estimate_dispersion, make_family
+from .families import Binomial, Family, Gaussian, Poisson, make_family
 from .simulate import (
     SimulationConfig,
     SimulationReport,

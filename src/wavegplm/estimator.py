@@ -12,10 +12,14 @@ Fisher-scoring steps, one of each per outer iteration:
 * linear step: weighted least squares of a pseudo-response on X.
 
 The backfit carries (beta, theta, f = idwt(theta)) and reads Pen from
-theta, so an outer iteration does 2 dwt (pseudo-response, thresholds)
-and 1 idwt; under the unit gaussian weights the thresholds come from a
-cache, and it does 1 dwt + 1 idwt.  Scaling coefficients are never
-penalized; the penalty acts on detail (wavelet) coefficients only.
+theta.  It also carries X beta and the family at the criterion's
+eta = X beta + f, which are the next iteration's eta and X beta_current.
+So an outer iteration does 1 dwt (the pseudo-responses and w Psi^T 1,
+stacked in one call; under the unit gaussian weights the thresholds come
+from a cache), 1 idwt, 1 product X beta and 2 family evaluations, at
+X beta + f_new for the linear step and at X beta_new + f_new for the
+criterion.  Scaling coefficients are never penalized; the penalty acts on
+detail (wavelet) coefficients only.
 
 Lockstep: :func:`backfit_rows` runs one outer-iteration loop over a stack
 of R fits that share X, the family and the config, each row with its own
@@ -46,7 +50,7 @@ from .errors import (
     NumericError,
     RankError,
 )
-from .families import Family
+from .families import Evaluation, Family
 from .wavelet import (
     CoefficientLayout,
     WaveletCoefficients,
@@ -231,7 +235,8 @@ def per_coefficient_thresholds(
     noise_scale_diag: np.ndarray,
     filt: WaveletFilter,
     coarse_level: int,
-) -> np.ndarray:
+    signals: np.ndarray | None = None,
+):
     """Threshold vectors lambda * |Psi diag(w) Psi^T 1|, scaling entries zeroed.
 
     ``noise_scale_diag`` carries the per-observation noise scale of the
@@ -240,18 +245,35 @@ def per_coefficient_thresholds(
     weights w the vector is uniformly lambda * w on the detail blocks,
     recovering the uniform gaussian threshold when w = 1; for w = 1
     exactly it is lambda times the cached base, with no transform.
+
+    Given ``signals`` (..., n), it returns (thresholds, dwt(signals)),
+    transforming the rows of ``signals`` and of w Psi^T 1 in one stacked
+    ``dwt`` call; each row gets the bits of its own transform.
     """
     w = np.asarray(noise_scale_diag, dtype=float)
     if not np.all(np.isfinite(w)):
         raise NumericError("variance weights contain non-finite values")
     lam = np.asarray(lam, dtype=float)[..., None]
-    signal, base = _synthesized_ones(w.shape[-1], filt.name, coarse_level)
-    if (w == 1.0).all():
-        return lam * base
-    levels = dwt(w * signal, filt, coarse_level)
-    thresholds = lam * np.abs(levels.values)
-    thresholds[..., levels.layout.scaling_slice] = 0.0
-    return thresholds
+    n = w.shape[-1]
+    signal, base = _synthesized_ones(n, filt.name, coarse_level)
+    unit = bool((w == 1.0).all())
+    parts = [] if signals is None else [np.asarray(signals, dtype=float)]
+    if not unit:
+        parts.append(w * signal)
+    if parts:
+        stacked = parts[0] if len(parts) == 1 else np.concatenate(
+            [part.reshape(-1, n) for part in parts])
+        values = dwt(stacked, filt, coarse_level).values.reshape(-1, n)
+    if unit:
+        thresholds = lam * base
+    else:
+        thresholds = lam * np.abs(values[-(w.size // n):].reshape(w.shape))
+        thresholds[..., :1 << coarse_level] = 0.0
+    if signals is None:
+        return thresholds
+    coeffs = values[:parts[0].size // n].reshape(parts[0].shape)
+    return thresholds, WaveletCoefficients(values=coeffs,
+                                           layout=coefficient_layout(n, coarse_level))
 
 
 def _sobolev_weights(layout: CoefficientLayout, s: float) -> np.ndarray:
@@ -262,17 +284,15 @@ def _sobolev_weights(layout: CoefficientLayout, s: float) -> np.ndarray:
     return weights
 
 
-def _linear_predictor(data: Dataset, beta, f) -> np.ndarray:
-    """eta = X beta + f, row by row: one BLAS gemv per row of ``beta``."""
+def _x_beta(data: Dataset, beta) -> np.ndarray:
+    """X beta, row by row: one BLAS gemv per row of ``beta``."""
     beta = np.asarray(beta, dtype=float)
-    return (data.X @ beta[..., None])[..., 0] + f
+    return (data.X @ beta[..., None])[..., 0]
 
 
-def _working_residual(data: Dataset, family: Family, beta, f) -> tuple[np.ndarray, np.ndarray]:
-    """bddot(eta) and the working residual (y - mu)/bddot(eta) at eta = X beta + f."""
-    eta = _linear_predictor(data, beta, f)
-    weight = family.b_ddot(eta)  # W^{-1} = diag(b_ddot)
-    return weight, (data.y - family.mean(eta)) / weight
+def _working_residual(data: Dataset, at: Evaluation) -> np.ndarray:
+    """The working residual (y - mu)/bddot(eta) at the evaluated eta."""
+    return (data.y - at.mean) / at.b_ddot  # W^{-1} = diag(b_ddot)
 
 
 def functional_step(
@@ -283,6 +303,7 @@ def functional_step(
     config: FitConfig,
     filt: WaveletFilter,
     lam=None,
+    at: Evaluation | None = None,
 ) -> WaveletCoefficients:
     """One functional Fisher-scoring step: the shrunk coefficients theta of
     the pseudo-response f + (y - mu)/bddot(eta), soft thresholded at
@@ -291,33 +312,40 @@ def functional_step(
 
     Rows of ``data.y``, ``beta`` (..., p) and ``f_current`` (..., n) are
     separate fits; ``lam`` gives each its threshold level, by default the
-    one ``config`` resolves to.
+    one ``config`` resolves to.  ``at`` is the family at
+    eta = X beta + f_current when the caller has it.
     """
     penalty = config.penalty
     j0 = penalty.resolve_coarse_level(data.n)
     if lam is None:
         lam = penalty.resolve_lambda(family, data.n)
-    weight, residual = _working_residual(data, family, beta, f_current)
-    coeffs = dwt(f_current + residual, filt, j0)
-    values = coeffs.values
+    if at is None:
+        at = family.evaluate(_x_beta(data, beta) + f_current)
+    pseudo = f_current + _working_residual(data, at)
     if penalty.kind == "l1":
-        thresholds = per_coefficient_thresholds(lam, 1.0 / weight, filt, j0)
+        thresholds, coeffs = per_coefficient_thresholds(lam, 1.0 / at.b_ddot, filt, j0, pseudo)
+        values = coeffs.values
         details = slice(1 << j0, None)
         values[..., details] = soft_threshold(values[..., details], thresholds[..., details])
     else:
+        coeffs = dwt(pseudo, filt, j0)
+        values = coeffs.values
         values /= 1.0 + np.asarray(lam)[..., None] * _sobolev_weights(coeffs.layout,
                                                                       penalty.sobolev_s)
     return coeffs
 
 
 def linear_step(data: Dataset, family: Family, beta_current: np.ndarray,
-                f: np.ndarray) -> np.ndarray:
+                f: np.ndarray, x_beta: np.ndarray | None = None) -> np.ndarray:
     """One parametric Fisher-scoring step: weighted least squares of the
-    pseudo-response X beta + (y - mu)/bddot(eta) on X, row by row."""
-    weight, residual = _working_residual(data, family, beta_current, f)
-    pseudo = _linear_predictor(data, beta_current, residual)
+    pseudo-response X beta + (y - mu)/bddot(eta) on X, row by row, at
+    eta = X beta + f; ``x_beta`` is X beta_current when the caller has it."""
+    if x_beta is None:
+        x_beta = _x_beta(data, beta_current)
+    at = family.evaluate(x_beta + f)
+    pseudo = x_beta + _working_residual(data, at)
     # X^T W per row, laid out as the transpose of a C-ordered (n, p) array
-    xtw = np.swapaxes(data.X * weight[..., None], -1, -2)
+    xtw = np.swapaxes(data.X * at.b_ddot[..., None], -1, -2)
     try:
         return np.linalg.solve(xtw @ data.X, xtw @ pseudo[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
@@ -342,15 +370,18 @@ def penalty_value(coeffs: WaveletCoefficients, penalty: PenaltyConfig, lam):
 
 
 def criterion_value(data: Dataset, family: Family, beta, f,
-                    coeffs: WaveletCoefficients, config: FitConfig, lam=None):
+                    coeffs: WaveletCoefficients, config: FitConfig, lam=None,
+                    at: Evaluation | None = None):
     """Penalized loglikelihood K_n(beta, theta) = sum l(y_i, eta_i) - Pen(theta),
     with eta = X beta + f and ``coeffs`` the coefficients theta of f; one
-    value per row, at ``lam`` or the level ``config`` resolves to."""
+    value per row, at ``lam`` or the level ``config`` resolves to.  ``at``
+    is the family at eta, with the cumulant, when the caller has it."""
     penalty = config.penalty
     if lam is None:
         lam = penalty.resolve_lambda(family, data.n)
-    eta = _linear_predictor(data, beta, f)
-    return family.loglik(data.y, eta) - penalty_value(coeffs, penalty, lam)
+    if at is None:
+        at = family.evaluate(_x_beta(data, beta) + f, cumulant=True)
+    return at.loglik(data.y) - penalty_value(coeffs, penalty, lam)
 
 
 def _row_norms(v: np.ndarray) -> np.ndarray:
@@ -371,6 +402,8 @@ class _Active:
     theta: WaveletCoefficients | None
     trace: np.ndarray        # K_n after each outer iteration, kappa columns
     decreasing: np.ndarray   # consecutive criterion decreases
+    x_beta: np.ndarray | None = None  # X beta, once an iteration has formed it
+    at: Evaluation | None = None      # the family at X beta + f, likewise
 
     def take(self, keep, columns: int) -> "_Active":
         """The rows that ``keep`` selects, with the first ``columns`` of the trace."""
@@ -380,27 +413,33 @@ class _Active:
             values=self.theta.values[keep], layout=self.theta.layout)
         return _Active(self.ids[keep], Dataset(y=self.rows.y[keep], X=self.rows.X),
                        self.lam[keep], self.beta[keep], self.f[keep], theta, trace,
-                       self.decreasing[keep])
+                       self.decreasing[keep],
+                       None if self.x_beta is None else self.x_beta[keep],
+                       None if self.at is None else self.at.rows(keep))
 
     def iterate(self, family: Family, config: FitConfig, filt: WaveletFilter, k: int):
-        """Outer iteration k + 1 of every row: the new (theta, f, beta) and
-        K_n, or the error of the first check that some row fails."""
+        """Outer iteration k + 1 of every row: the new (theta, f, beta), K_n,
+        X beta and the family at X beta + f, or the error of the first check
+        that some row fails."""
         theta, f = self.theta, self.f
         try:
             if not config.freeze_f_at_zero:
-                theta = functional_step(self.rows, family, self.beta, f, config, filt, self.lam)
+                theta = functional_step(self.rows, family, self.beta, f, config, filt,
+                                        self.lam, self.at)
                 f = idwt(theta, filt)
-            beta = linear_step(self.rows, family, self.beta, f)
+            beta = linear_step(self.rows, family, self.beta, f, self.x_beta)
         except (NumericError, RankError) as exc:
             raise FitError(f"outer iteration {k + 1}: {exc}") from exc
         if np.max(np.abs(f)) > EXPLOSION_BOUND or np.max(np.abs(beta)) > EXPLOSION_BOUND:
             raise FitDivergenceError(
                 f"iterates exceeded sup-norm bound {EXPLOSION_BOUND:g} (outer iteration {k + 1})"
             )
-        crit = criterion_value(self.rows, family, beta, f, theta, config, self.lam)
+        x_beta = _x_beta(self.rows, beta)
+        at = family.evaluate(x_beta + f, cumulant=True)
+        crit = criterion_value(self.rows, family, beta, f, theta, config, self.lam, at)
         if not np.isfinite(crit).all():
             raise FitError(f"outer iteration {k + 1}: non-finite criterion")
-        return theta, f, beta, crit
+        return theta, f, beta, crit, x_beta, at
 
     def error(self, family, config, filt, k) -> FitError | None:
         try:
@@ -447,7 +486,7 @@ def backfit_rows(data: Dataset, family: Family, config: FitConfig,
     results: list = [None] * count
     for k in range(config.kappa):
         try:
-            theta, f, beta, crit = active.iterate(family, config, filt, k)
+            theta, f, beta, crit, x_beta, at = active.iterate(family, config, filt, k)
         except FitError as exc:
             errors = [exc] if active.ids.size == 1 else [
                 active.take(slice(i, i + 1), 0).error(family, config, filt, k)
@@ -458,7 +497,7 @@ def backfit_rows(data: Dataset, family: Family, config: FitConfig,
             if failed.all():
                 break
             active = active.take(~failed, k)
-            theta, f, beta, crit = active.iterate(family, config, filt, k)
+            theta, f, beta, crit, x_beta, at = active.iterate(family, config, filt, k)
         trace = active.trace
         if k:
             active.decreasing = np.where(crit < trace[:, k - 1], active.decreasing + 1, 0)
@@ -466,6 +505,7 @@ def backfit_rows(data: Dataset, family: Family, config: FitConfig,
         gave_up = active.decreasing >= DIVERGENCE_PATIENCE
         converged = _row_norms(beta - active.beta) <= config.delta * _row_norms(active.beta)
         active.theta, active.f, active.beta = theta, f, beta
+        active.x_beta, active.at = x_beta, at
         done = gave_up | converged | (k + 1 == config.kappa)
         if not done.any():
             continue

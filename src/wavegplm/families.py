@@ -3,7 +3,9 @@
 Each family exposes the cumulant b and its derivatives, the canonical link
 G = bdot^{-1}, the loglikelihood l(y, eta) = y*eta - b(eta) (terms constant
 in eta are dropped), and a deterministic sampler driven by a caller-owned
-``numpy.random.Generator``.
+``numpy.random.Generator``.  :meth:`Family.evaluate` checks one eta once and
+returns what a caller uses of b, bdot and bddot together, sharing the
+exponential between them; the single-value methods read from it.
 
 The natural parameter is clamped to [-ETA_MAX, ETA_MAX] for the binomial
 and poisson families before exponentials are taken; the statistically
@@ -12,9 +14,11 @@ meaningful range is far narrower, so the clamp only prevents overflow.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError, DomainError, NumericError
+from .errors import ConfigurationError, DomainError, NumericError
 
 ETA_MAX = 30.0
 
@@ -26,27 +30,52 @@ def _check_finite(eta):
     return eta
 
 
-def _clamped(eta):
-    return np.clip(_check_finite(eta), -ETA_MAX, ETA_MAX)
+@dataclass(frozen=True)
+class Evaluation:
+    """A family at one checked natural parameter eta: the mean bdot(eta),
+    bddot(eta) and, when asked for, the cumulant b(eta).  The arrays may
+    share memory with each other and with eta; treat them as read-only."""
+
+    eta: np.ndarray
+    mean: np.ndarray
+    b_ddot: np.ndarray
+    cumulant: np.ndarray | None = None
+
+    def loglik(self, y):
+        """Sum of y*eta - b(eta) along the last axis (a float for vectors,
+        one sum per row for stacks)."""
+        total = np.sum(np.asarray(y, dtype=float) * self.eta - self.cumulant, axis=-1)
+        return total if total.ndim else float(total)
+
+    def rows(self, keep) -> "Evaluation":
+        """The rows that ``keep`` selects, without the cumulant."""
+        return Evaluation(self.eta[keep], self.mean[keep], self.b_ddot[keep])
 
 
 class Family:
-    """Base class; subclasses define the cumulant and its derivatives."""
+    """Base class; subclasses define :meth:`evaluate`, the cumulant and its
+    derivatives at once."""
 
     kind: str
     phi: float
 
     # -- cumulant and derivatives -------------------------------------
-    def cumulant(self, eta):
+    def evaluate(self, eta, cumulant: bool = False) -> Evaluation:
+        """bdot and bddot at eta, and b when ``cumulant`` is true, from one
+        finiteness check of eta (NumericError) and one clamp."""
         raise NotImplementedError
+
+    def cumulant(self, eta):
+        """b(eta)."""
+        return self.evaluate(eta, cumulant=True).cumulant
 
     def mean(self, eta):
         """bdot(eta), the conditional mean mu."""
-        raise NotImplementedError
+        return self.evaluate(eta).mean
 
     def b_ddot(self, eta):
         """Second derivative of the cumulant (unit variance function)."""
-        raise NotImplementedError
+        return self.evaluate(eta).b_ddot
 
     def variance(self, eta):
         """Conditional variance phi * bddot(eta)."""
@@ -65,10 +94,7 @@ class Family:
     def loglik(self, y, eta):
         """Sum of y*eta - b(eta) along the last axis (a float for vectors,
         one sum per row for stacks); dispersion and c(y, phi) terms dropped."""
-        eta = _check_finite(eta)
-        y = np.asarray(y, dtype=float)
-        total = np.sum(y * eta - self.cumulant(eta), axis=-1)
-        return total if total.ndim else float(total)
+        return self.evaluate(eta, cumulant=True).loglik(y)
 
     # -- sampling ------------------------------------------------------
     def sample(self, eta, rng: np.random.Generator):
@@ -92,15 +118,9 @@ class Gaussian(Family):
             raise ConfigurationError("gaussian dispersion must be nonnegative")
         self.phi = float(phi)
 
-    def cumulant(self, eta):
+    def evaluate(self, eta, cumulant=False):
         eta = _check_finite(eta)
-        return eta ** 2 / 2.0
-
-    def mean(self, eta):
-        return _check_finite(eta)
-
-    def b_ddot(self, eta):
-        return np.ones_like(_check_finite(eta))
+        return Evaluation(eta, eta, np.ones_like(eta), eta ** 2 / 2.0 if cumulant else None)
 
     def link(self, mu):
         return np.asarray(mu, dtype=float)
@@ -126,18 +146,13 @@ class Binomial(Family):
         self.m = int(m)
         self.phi = 1.0 / self.m
 
-    def cumulant(self, eta):
+    def evaluate(self, eta, cumulant=False):
+        eta = _check_finite(eta)
+        clamped = np.clip(eta, -ETA_MAX, ETA_MAX)
+        mu = 1.0 / (1.0 + np.exp(-clamped))
         # log(1 + e^eta) via the stable log1p branch
-        eta = _clamped(eta)
-        return np.logaddexp(0.0, eta)
-
-    def mean(self, eta):
-        eta = _clamped(eta)
-        return 1.0 / (1.0 + np.exp(-eta))
-
-    def b_ddot(self, eta):
-        mu = self.mean(eta)
-        return mu * (1.0 - mu)
+        b = np.logaddexp(0.0, clamped) if cumulant else None
+        return Evaluation(eta, mu, mu * (1.0 - mu), b)
 
     def link(self, mu):
         mu = np.asarray(mu, dtype=float)
@@ -162,14 +177,11 @@ class Poisson(Family):
     def __init__(self):
         self.phi = 1.0
 
-    def cumulant(self, eta):
-        return np.exp(_clamped(eta))
-
-    def mean(self, eta):
-        return np.exp(_clamped(eta))
-
-    def b_ddot(self, eta):
-        return np.exp(_clamped(eta))
+    def evaluate(self, eta, cumulant=False):
+        eta = _check_finite(eta)
+        # b = bdot = bddot = exp(eta)
+        mu = np.exp(np.clip(eta, -ETA_MAX, ETA_MAX))
+        return Evaluation(eta, mu, mu, mu if cumulant else None)
 
     def link(self, mu):
         mu = np.asarray(mu, dtype=float)
@@ -196,16 +208,3 @@ def make_family(kind: str, m: int | None = None, phi: float | None = None) -> Fa
         return Poisson()
     raise ConfigurationError(f"unknown family {kind!r}")
 
-
-def estimate_dispersion(family: Family, y, mu, eta) -> float:
-    """Moment estimator (1/n) sum (y_i - mu_i)^2 / bddot(eta_i).
-
-    Diagnostic only; never used inside the fitting loop, where the
-    dispersion is treated as known.
-    """
-    y = np.asarray(y, dtype=float)
-    mu = np.asarray(mu, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-    if not (y.shape == mu.shape == eta.shape):
-        raise DimensionError("y, mu and eta must have equal lengths")
-    return float(np.mean((y - mu) ** 2 / family.b_ddot(eta)))

@@ -34,10 +34,13 @@ terms with two broadcasting multiplies and sums them with two
 views that list each output's terms in that order, one for the outputs
 whose terms do not wrap around the level and one, over a small copy of
 the columns they need, for the first L/2 - 1 outputs of each parity.
-This relies on numpy adding along a reduced axis that is not the fast
-one a term at a time into the result, with no pairwise regrouping (the
-``numpy.sum`` docs keep pairwise summation to the fast axis), and on
-``initial=0.0`` starting each output at +0.0.  Levels shorter than L/2,
+A level longer than SYNTHESIS_BLOCK outputs forms and sums the terms of
+the outputs that do not wrap one block of that many outputs at a time,
+so its temporaries keep one size whatever n is.  This relies on numpy
+adding along a reduced axis that is not the fast one a term at a time
+into the result, with no pairwise regrouping (the ``numpy.sum`` docs
+keep pairwise summation to the fast axis), and on ``initial=0.0``
+starting each output at +0.0.  Levels shorter than L/2,
 reached only below a coarse level of log2(L/2), add slices by shift
 instead.  No stage builds an index array or keeps state between calls.
 """
@@ -116,6 +119,12 @@ _FILTER_TABLE: dict[str, tuple[tuple[float, ...], int]] = {
 }
 
 SUPPORTED_FILTERS = tuple(sorted(_FILTER_TABLE))
+
+#: outputs per block of a long synthesis level.  Whole-level temporaries
+#: grow to L x n/2 values (4 MiB for symmlet-8 at n = 65536), which malloc
+#: maps afresh and the kernel faults in on every call; blocks of a fixed
+#: size are reused from the heap
+SYNTHESIS_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -252,6 +261,22 @@ def _analysis_stage(x: np.ndarray, filt: WaveletFilter):
     return window @ filt.lowpass, window @ filt.highpass
 
 
+def _terms(lowpass: np.ndarray, highpass: np.ndarray, approx: np.ndarray,
+           detail: np.ndarray) -> np.ndarray:
+    """h_l approx + g_l detail for every tap pair, taps on the leading axes."""
+    terms = np.multiply(lowpass, approx, out=np.empty(lowpass.shape[:2] + approx.shape))
+    terms += highpass * detail
+    return terms
+
+
+def _add_unwrapped(terms: np.ndarray, out: np.ndarray):
+    """out[..., k] = the sum of terms[s, ..., k + s] by increasing s, from +0.0."""
+    s0, s1, s2, s3 = terms.strides
+    np.add.reduce(np.ndarray(terms.shape[:3] + out.shape[-1:], buffer=terms,
+                             strides=(s0 + s3, s1, s2, s3)),
+                  axis=0, initial=0.0, out=out)
+
+
 def _synthesis_stage(approx: np.ndarray, detail: np.ndarray, filt: WaveletFilter) -> np.ndarray:
     rows, h = approx.shape
     half = len(filt) // 2
@@ -261,35 +286,42 @@ def _synthesis_stage(approx: np.ndarray, detail: np.ndarray, filt: WaveletFilter
     # forward through memory and stays the outer loop of each reduction
     lowpass, highpass = (taps.reshape(half, 2)[::-1, :, None, None]
                          for taps in (filt.lowpass, filt.highpass))
-    terms = np.multiply(lowpass, approx, out=np.empty((half, 2, rows, h)))
-    terms += highpass * detail
     out = np.zeros((rows, h, 2))
     # planes[r, j, k] is x_j[2k + r]; its inner axis k keeps the inner loop
     # of each reduction long
     planes = out.transpose(2, 0, 1)
-    if h < half:
-        # a level shorter than half the filter, around which the terms wrap
-        # several times: add slices by shift k - i = d from h - 1 down to 0,
-        # the terms that do not wrap, then k - i = d - h from h - 1 down to
-        # 1, the terms that wrap; ties by increasing q
-        for d in range(h - 1, -1, -1):
-            for q in range(d, half, h):
-                planes[:, :, d:] += terms[half - 1 - q, :, :, :h - d]
-        for d in range(h - 1, 0, -1):
-            for q in range(d, half, h):
-                planes[:, :, :d] += terms[half - 1 - q, :, :, h - d:]
-        return out.reshape(rows, 2 * h)
-    s0, s1, s2, s3 = terms.strides
-    # output k >= half - 1 adds terms[s, :, :, k - half + 1 + s] by increasing
-    # s, which is increasing i; none of them wraps
-    np.add.reduce(np.ndarray((half, 2, rows, h - half + 1), buffer=terms,
-                             strides=(s0 + s3, s1, s2, s3)),
-                  axis=0, initial=0.0, out=planes[:, :, half - 1:])
+    # output k >= half - 1 adds terms[s, :, :, k - half + 1 + s] by
+    # increasing s, which is increasing i; none of them wraps
+    if h <= SYNTHESIS_BLOCK:
+        terms = _terms(lowpass, highpass, approx, detail)
+        if h < half:
+            # a level shorter than half the filter, around which the terms
+            # wrap several times: add slices by shift k - i = d from h - 1
+            # down to 0, the terms that do not wrap, then k - i = d - h from
+            # h - 1 down to 1, the terms that wrap; ties by increasing q
+            for d in range(h - 1, -1, -1):
+                for q in range(d, half, h):
+                    planes[:, :, d:] += terms[half - 1 - q, :, :, :h - d]
+            for d in range(h - 1, 0, -1):
+                for q in range(d, half, h):
+                    planes[:, :, :d] += terms[half - 1 - q, :, :, h - d:]
+            return out.reshape(rows, 2 * h)
+        _add_unwrapped(terms, planes[:, :, half - 1:])
+    else:
+        for k0 in range(half - 1, h, SYNTHESIS_BLOCK):
+            k1 = min(k0 + SYNTHESIS_BLOCK, h)
+            columns = slice(k0 - half + 1, k1)
+            _add_unwrapped(_terms(lowpass, highpass, approx[:, columns], detail[:, columns]),
+                           planes[:, :, k0:k1])
+        # the outputs below need only the first and the last half columns
+        terms = np.concatenate([_terms(lowpass, highpass, approx[:, columns], detail[:, columns])
+                                for columns in (slice(None, half), slice(h - half, None))],
+                               axis=-1)
     # output k < half - 1 adds, by increasing i, the columns i = 0..k (slab
     # s = half - 1 - k + i) and then the wrapped columns i = h - half + c,
     # c = k + 1..half - 1 (slab c - k - 1): after the first columns of every
     # slab, head holds the last columns of the slabs with q >= 1
-    head = np.concatenate((terms[:, :, :, :half], terms[:half - 1, :, :, h - half:]))
+    head = np.concatenate((terms[:, :, :, :half], terms[:half - 1, :, :, -half:]))
     s0, s1, s2, s3 = head.strides
     np.add.reduce(np.ndarray((half, 2, rows, half - 1), buffer=head,
                              offset=(half - 1) * s0, strides=(s0 + s3, s1, s2, -s0)),

@@ -13,7 +13,9 @@ from wavegplm import (
     FitError,
     Gaussian,
     GplmFit,
+    NumericError,
     PenaltyConfig,
+    RankError,
     WaveletCoefficients,
     backfit,
     backfit_rows,
@@ -345,31 +347,42 @@ class TestBackfit:
         assert not fit.converged
 
     def test_transform_budget(self, monkeypatch):
-        # per gaussian outer iteration: dwt of the pseudo-response, idwt of
-        # theta; the unit-weight thresholds and the criterion need no
-        # transform, and Psi^T 1 with its threshold base cost one idwt and
+        # per outer iteration: one dwt of the pseudo-responses (stacked with
+        # w Psi^T 1 under the poisson weights; the unit gaussian weights
+        # take the thresholds from the cache), one idwt of theta, and two
+        # family evaluations, at X beta + f_new for the linear step and at
+        # X beta_new + f_new for the criterion and the next functional
+        # step.  Once per fit: the first functional step's evaluation and
+        # final_loglik's; Psi^T 1 with its threshold base cost one idwt and
         # one dwt per cold cache
         import wavegplm.estimator as estimator
 
-        estimator._synthesized_ones.cache_clear()
-        calls = {"dwt": 0, "idwt": 0}
+        calls = {}
 
-        def counted(name):
-            original = getattr(estimator, name)
+        def counted(owner, name):
+            original = getattr(owner, name)
 
             def wrapper(*args, **kwargs):
                 calls[name] += 1
                 return original(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(estimator, "dwt", counted("dwt"))
-        monkeypatch.setattr(estimator, "idwt", counted("idwt"))
+        monkeypatch.setattr(estimator, "dwt", counted(estimator, "dwt"))
+        monkeypatch.setattr(estimator, "idwt", counted(estimator, "idwt"))
         data, _, _ = _gaussian_data(2)
-        for cold in (1, 0):
-            calls.update(dwt=0, idwt=0)
-            fit = backfit(data, Gaussian(), FitConfig(kappa=25, delta=0.0))
-            assert fit.iterations >= 20
-            assert calls == {"dwt": fit.iterations + cold, "idwt": fit.iterations + cold}
+        for kind in ("gaussian", "poisson"):
+            family = make_family(kind)
+            monkeypatch.setattr(family, "evaluate", counted(family, "evaluate"))
+            if kind == "poisson":
+                data = Dataset(y=family.sample(0.3 * data.y, np.random.default_rng(2)),
+                               X=data.X)
+            estimator._synthesized_ones.cache_clear()
+            for cold in (1, 0):
+                calls.update(dwt=0, idwt=0, evaluate=0)
+                fit = backfit(data, family, FitConfig(kappa=25, delta=0.0))
+                assert fit.iterations >= 20
+                assert calls == {"dwt": fit.iterations + cold, "idwt": fit.iterations + cold,
+                                 "evaluate": 2 * fit.iterations + 2}
 
     def test_poisson_divergence_detected(self):
         # a threshold far below the universal level lets the poisson
@@ -613,3 +626,79 @@ def test_lockstep_rows_equal_one_row_backfits(kind):
         singular = "outer iteration 1: singular weighted normal equations"
         assert outcomes == [singular] * 2 + [
             "outer iteration 1: natural parameter contains non-finite values"] + [singular] * 2
+
+
+def _backfit_by_hand(data, family, config, lam, iterations):
+    """(beta, f, trace) after ``iterations`` outer iterations of one row,
+    each a fresh call of the public steps with nothing carried over, with
+    backfit's error checks; or the FitError backfit raises."""
+    from wavegplm.estimator import EXPLOSION_BOUND
+
+    filt = make_filter(config.filter_name)
+    j0 = config.penalty.resolve_coarse_level(data.n)
+    if config.freeze_f_at_zero:
+        f, beta = np.zeros(data.n), np.zeros(data.p)
+        theta = dwt(f, filt, j0)
+    else:
+        f, beta = initialize(data, family)
+    trace = []
+    for k in range(iterations):
+        try:
+            if not config.freeze_f_at_zero:
+                theta = functional_step(data, family, beta, f, config, filt, lam)
+                f = idwt(theta, filt)
+            beta = linear_step(data, family, beta, f)
+        except (NumericError, RankError) as exc:
+            return FitError(f"outer iteration {k + 1}: {exc}")
+        if np.max(np.abs(f)) > EXPLOSION_BOUND or np.max(np.abs(beta)) > EXPLOSION_BOUND:
+            return FitDivergenceError(
+                f"iterates exceeded sup-norm bound {EXPLOSION_BOUND:g} (outer iteration {k + 1})")
+        trace.append(criterion_value(data, family, beta, f, theta, config, lam))
+    return beta, f, np.array(trace)
+
+
+def _assert_loop_equals_steps(data, family, config, lams):
+    """backfit_rows against each row stepped by hand; returns the fits."""
+    fits = backfit_rows(data, family, config, lams)
+    for row, lam, fit in zip(data.y, lams, fits):
+        returned = isinstance(fit, GplmFit)
+        by_hand = _backfit_by_hand(Dataset(y=row, X=data.X), family, config, lam,
+                                   fit.iterations if returned else config.kappa)
+        if returned:
+            for name, value in zip(("beta", "f_hat", "trace"), by_hand):
+                _assert_same_bits(getattr(fit, name), value)
+        else:
+            assert type(by_hand) is type(fit) and str(by_hand) == str(fit)
+    return fits
+
+
+@pytest.mark.parametrize("variant", ["l1", "sobolev", "frozen", "coarse-0"])
+@pytest.mark.parametrize("kind", ["gaussian", "poisson", "binomial"])
+def test_lockstep_loop_equals_public_steps(kind, variant):
+    # the loop carries X beta and the family at the criterion's eta into
+    # the next iteration and stacks its analyses; stepping each row by hand
+    # through the public steps, which recompute everything, gives the same
+    # bits
+    from wavegplm.simulate import covariate_design, design_rng, replication_rng, test_function
+
+    n = 256
+    family = make_family(kind, m=8 if kind == "binomial" else None)
+    X = covariate_design(n, 2, design_rng(4))
+    eta0 = X @ [0.5, -0.3] + test_function("sinus", n, 3.0, phi=family.phi).values
+    y = np.array([family.sample(eta0, replication_rng(4, r)) for r in range(3)])
+    lams = [q * universal_lambda(family, n) for q in (0.6, 1.0, 1.5)]
+    penalty = PenaltyConfig(kind="sobolev" if variant == "sobolev" else "l1",
+                            coarse_level=0 if variant == "coarse-0" else None)
+    config = FitConfig(kappa=40, delta=1e-12, penalty=penalty,
+                       freeze_f_at_zero=variant == "frozen")
+    _assert_loop_equals_steps(Dataset(y=y, X=X), family, config, lams)
+
+
+def test_lockstep_loop_fails_where_public_steps_fail():
+    # poisson seed 5: replication 5 leaves the sup-norm bound at iteration
+    # 14 at 1.2 sqrt(log n) and at iteration 84 at 1.6 sqrt(log n)
+    data, family, config, lams = _lockstep_case("poisson")
+    fits = _assert_loop_equals_steps(Dataset(y=data.y[:3], X=data.X), family, config, lams[:3])
+    assert isinstance(fits[0], GplmFit)
+    assert [str(fit) for fit in fits[1:]] == [
+        f"iterates exceeded sup-norm bound 1e+06 (outer iteration {k})" for k in (14, 84)]

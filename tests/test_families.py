@@ -8,7 +8,6 @@ from wavegplm import (
     Gaussian,
     NumericError,
     Poisson,
-    estimate_dispersion,
     make_family,
 )
 
@@ -160,24 +159,6 @@ class TestMakeFamily:
             make_family("gamma")
 
 
-def test_dispersion_estimator_gaussian():
-    rng = np.random.default_rng(0)
-    eta = np.zeros(200_000)
-    fam = Gaussian(phi=3.0)
-    y = fam.sample(eta, rng)
-    est = estimate_dispersion(fam, y, fam.mean(eta), eta)
-    assert abs(est - 3.0) < 0.05
-
-
-def test_dispersion_estimator_binomial():
-    rng = np.random.default_rng(1)
-    fam = Binomial(m=24)
-    eta = np.linspace(-1.0, 1.0, 100_000)
-    y = fam.sample(eta, rng)
-    est = estimate_dispersion(fam, y, fam.mean(eta), eta)
-    assert abs(est - fam.phi) < 0.002
-
-
 class TestSpotValues:
     """Hand-computed values of the cumulant, loglikelihood and link."""
 
@@ -199,13 +180,3 @@ class TestSpotValues:
         eta = Binomial(m=24).init_eta(np.array([0.0]))
         assert eta[0] == pytest.approx(np.log((1 / 48) / (1 - 1 / 48)), abs=1e-4)
         assert eta[0] == pytest.approx(-3.8501, abs=1e-4)
-
-    def test_dispersion_zero_residuals(self):
-        fam = Gaussian()
-        eta = np.array([1.0, 2.0])
-        assert estimate_dispersion(fam, fam.mean(eta), fam.mean(eta), eta) == 0.0
-
-    def test_dispersion_unit_residuals(self):
-        fam = Gaussian()
-        eta = np.zeros(4)
-        assert estimate_dispersion(fam, eta + 1.0, eta, eta) == pytest.approx(1.0)

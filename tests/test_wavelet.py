@@ -12,6 +12,7 @@ from wavegplm import (
     make_filter,
     transform_matrix,
 )
+from wavegplm.wavelet import SYNTHESIS_BLOCK
 
 
 class TestMakeFilter:
@@ -235,8 +236,11 @@ def test_kernels_match_add_at_reference_bit_for_bit(name):
 
 
 def test_kernels_match_add_at_reference_at_65536():
-    _assert_kernels_match_reference(make_filter("symmlet-8"), 1 << 16, 3,
-                                    np.random.default_rng(16))
+    # the synthesis levels longer than SYNTHESIS_BLOCK go in blocks
+    assert 1 << 15 > SYNTHESIS_BLOCK
+    for name in SUPPORTED_FILTERS:
+        filt = make_filter(name)
+        _assert_kernels_match_reference(filt, 1 << 16, 3, np.random.default_rng([16, len(filt)]))
 
 
 @pytest.mark.parametrize("rows", [(1,), (2,), (7,), (2, 3)], ids=str)
