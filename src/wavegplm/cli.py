@@ -329,6 +329,7 @@ def cmd_calibrate(args) -> int:
     if args.sweep_m:
         def point(m):
             cfg = dataclasses.replace(config, family_kind="binomial", m=m, phi=None)
+            cfg.family()  # rejects a class count m < 1 before the scale divides by it
             return cfg, math.sqrt(math.log(cfg.n) / m)
         document.update(_sweep("m", args.sweep_m, args.ratio_grid, point))
     elif args.sweep_n:

@@ -157,8 +157,9 @@ class FitConfig:
     def __post_init__(self):
         if self.kappa < 1:
             raise ConfigurationError("kappa must be at least 1")
-        if self.delta < 0:
-            raise ConfigurationError("delta must be nonnegative")
+        # NaN fails both comparisons
+        if not 0 <= self.delta < math.inf:
+            raise ConfigurationError(f"delta must be finite and nonnegative, got {self.delta}")
 
 
 @dataclass(frozen=True)
@@ -184,6 +185,8 @@ class Dataset:
             raise DimensionError(f"sample size {n} is not a power of two")
         if X.shape[1] >= n:
             raise DimensionError("need p < n covariates")
+        if X.shape[1] == 0:
+            raise DimensionError("need at least one covariate column")
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "X", X)
 
@@ -243,35 +246,37 @@ def per_coefficient_thresholds(
     pseudo-responses, d eta/d mu = 1/bddot(eta), one row of ``(..., n)``
     per fit, and ``lam`` one level per row (or one for all).  For constant
     weights w the vector is uniformly lambda * w on the detail blocks,
-    recovering the uniform gaussian threshold when w = 1; for w = 1
-    exactly it is lambda times the cached base, with no transform.
+    recovering the uniform gaussian threshold when w = 1.
+    ``noise_scale_diag`` None stands for w = 1 (the gaussian family, whose
+    :class:`~wavegplm.families.Evaluation` has no ``b_ddot``); the vector
+    is then lambda times the cached |Psi Psi^T 1|, with no transform, the
+    bits the transform of w = 1 gives, and ``signals`` gives n.
 
     Given ``signals`` (..., n), it returns (thresholds, dwt(signals)),
     transforming the rows of ``signals`` and of w Psi^T 1 in one stacked
     ``dwt`` call; each row gets the bits of its own transform.
     """
-    w = np.asarray(noise_scale_diag, dtype=float)
-    if not np.all(np.isfinite(w)):
-        raise NumericError("variance weights contain non-finite values")
     lam = np.asarray(lam, dtype=float)[..., None]
+    if noise_scale_diag is None:
+        n = np.shape(signals)[-1]
+        thresholds = lam * _synthesized_ones(n, filt.name, coarse_level)[1]
+        return thresholds, dwt(signals, filt, coarse_level)
+    w = np.asarray(noise_scale_diag, dtype=float)
+    if not np.isfinite(w).all():
+        raise NumericError("variance weights contain non-finite values")
     n = w.shape[-1]
-    signal, base = _synthesized_ones(n, filt.name, coarse_level)
-    unit = bool((w == 1.0).all())
-    parts = [] if signals is None else [np.asarray(signals, dtype=float)]
-    if not unit:
-        parts.append(w * signal)
-    if parts:
-        stacked = parts[0] if len(parts) == 1 else np.concatenate(
-            [part.reshape(-1, n) for part in parts])
-        values = dwt(stacked, filt, coarse_level).values.reshape(-1, n)
-    if unit:
-        thresholds = lam * base
-    else:
-        thresholds = lam * np.abs(values[-(w.size // n):].reshape(w.shape))
-        thresholds[..., :1 << coarse_level] = 0.0
+    signal = _synthesized_ones(n, filt.name, coarse_level)[0]
+    rows = 0 if signals is None else np.size(signals) // n
+    stacked = np.empty((rows + w.size // n, n))
+    if signals is not None:
+        stacked[:rows] = np.reshape(signals, (-1, n))
+    np.multiply(w.reshape(-1, n), signal, out=stacked[rows:])
+    values = dwt(stacked, filt, coarse_level).values
+    thresholds = lam * np.abs(values[rows:].reshape(w.shape))
+    thresholds[..., :1 << coarse_level] = 0.0
     if signals is None:
         return thresholds
-    coeffs = values[:parts[0].size // n].reshape(parts[0].shape)
+    coeffs = values[:rows].reshape(np.shape(signals))
     return thresholds, WaveletCoefficients(values=coeffs,
                                            layout=coefficient_layout(n, coarse_level))
 
@@ -292,7 +297,8 @@ def _x_beta(data: Dataset, beta) -> np.ndarray:
 
 def _working_residual(data: Dataset, at: Evaluation) -> np.ndarray:
     """The working residual (y - mu)/bddot(eta) at the evaluated eta."""
-    return (data.y - at.mean) / at.b_ddot  # W^{-1} = diag(b_ddot)
+    residual = data.y - at.mean
+    return residual if at.b_ddot is None else residual / at.b_ddot  # W^{-1} = diag(b_ddot)
 
 
 def functional_step(
@@ -323,7 +329,8 @@ def functional_step(
         at = family.evaluate(_x_beta(data, beta) + f_current)
     pseudo = f_current + _working_residual(data, at)
     if penalty.kind == "l1":
-        thresholds, coeffs = per_coefficient_thresholds(lam, 1.0 / at.b_ddot, filt, j0, pseudo)
+        thresholds, coeffs = per_coefficient_thresholds(
+            lam, None if at.b_ddot is None else 1.0 / at.b_ddot, filt, j0, pseudo)
         values = coeffs.values
         details = slice(1 << j0, None)
         values[..., details] = soft_threshold(values[..., details], thresholds[..., details])
@@ -339,13 +346,18 @@ def linear_step(data: Dataset, family: Family, beta_current: np.ndarray,
                 f: np.ndarray, x_beta: np.ndarray | None = None) -> np.ndarray:
     """One parametric Fisher-scoring step: weighted least squares of the
     pseudo-response X beta + (y - mu)/bddot(eta) on X, row by row, at
-    eta = X beta + f; ``x_beta`` is X beta_current when the caller has it."""
+    eta = X beta + f; ``x_beta`` is X beta_current when the caller has it.
+    Under unit weights (the gaussian family) it is least squares, with one
+    X^T X for every row."""
     if x_beta is None:
         x_beta = _x_beta(data, beta_current)
     at = family.evaluate(x_beta + f)
     pseudo = x_beta + _working_residual(data, at)
-    # X^T W per row, laid out as the transpose of a C-ordered (n, p) array
-    xtw = np.swapaxes(data.X * at.b_ddot[..., None], -1, -2)
+    # X^T W per row, laid out as the transpose of a C-ordered (n, p) array.
+    # Under unit weights that is a copy of X: numpy sends X.T @ X on one
+    # buffer to BLAS syrk, whose bits differ from the gemm of the rows
+    xtw = np.swapaxes(data.X.copy() if at.b_ddot is None else data.X * at.b_ddot[..., None],
+                      -1, -2)
     try:
         return np.linalg.solve(xtw @ data.X, xtw @ pseudo[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
@@ -361,7 +373,7 @@ def penalty_value(coeffs: WaveletCoefficients, penalty: PenaltyConfig, lam):
     """Pen(f) at threshold level ``lam``, on detail coefficients only; one
     value per row of ``coeffs`` (a float for a single vector)."""
     if penalty.kind == "l1":
-        pen = lam * np.sum(np.abs(coeffs.details), axis=-1)
+        pen = lam * np.abs(coeffs.details).sum(axis=-1)
     else:
         weights = _sobolev_weights(coeffs.layout, penalty.sobolev_s)
         squares = coeffs.values[..., None, :] ** 2
@@ -430,7 +442,7 @@ class _Active:
             beta = linear_step(self.rows, family, self.beta, f, self.x_beta)
         except (NumericError, RankError) as exc:
             raise FitError(f"outer iteration {k + 1}: {exc}") from exc
-        if np.max(np.abs(f)) > EXPLOSION_BOUND or np.max(np.abs(beta)) > EXPLOSION_BOUND:
+        if np.abs(f).max() > EXPLOSION_BOUND or np.abs(beta).max() > EXPLOSION_BOUND:
             raise FitDivergenceError(
                 f"iterates exceeded sup-norm bound {EXPLOSION_BOUND:g} (outer iteration {k + 1})"
             )

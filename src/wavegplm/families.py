@@ -25,7 +25,7 @@ ETA_MAX = 30.0
 
 def _check_finite(eta):
     eta = np.asarray(eta, dtype=float)
-    if not np.all(np.isfinite(eta)):
+    if not np.isfinite(eta).all():
         raise NumericError("natural parameter contains non-finite values")
     return eta
 
@@ -33,23 +33,27 @@ def _check_finite(eta):
 @dataclass(frozen=True)
 class Evaluation:
     """A family at one checked natural parameter eta: the mean bdot(eta),
-    bddot(eta) and, when asked for, the cumulant b(eta).  The arrays may
-    share memory with each other and with eta; treat them as read-only."""
+    bddot(eta) and, when asked for, the cumulant b(eta).  ``b_ddot`` is
+    None where bddot is 1 for every eta (the gaussian family): callers
+    then take the unit-weight forms, plain least squares and the cached
+    uniform thresholds.  The arrays may share memory with each other and
+    with eta; treat them as read-only."""
 
     eta: np.ndarray
     mean: np.ndarray
-    b_ddot: np.ndarray
+    b_ddot: np.ndarray | None
     cumulant: np.ndarray | None = None
 
     def loglik(self, y):
         """Sum of y*eta - b(eta) along the last axis (a float for vectors,
         one sum per row for stacks)."""
-        total = np.sum(np.asarray(y, dtype=float) * self.eta - self.cumulant, axis=-1)
+        total = (np.asarray(y, dtype=float) * self.eta - self.cumulant).sum(axis=-1)
         return total if total.ndim else float(total)
 
     def rows(self, keep) -> "Evaluation":
         """The rows that ``keep`` selects, without the cumulant."""
-        return Evaluation(self.eta[keep], self.mean[keep], self.b_ddot[keep])
+        return Evaluation(self.eta[keep], self.mean[keep],
+                          None if self.b_ddot is None else self.b_ddot[keep])
 
 
 class Family:
@@ -120,7 +124,10 @@ class Gaussian(Family):
 
     def evaluate(self, eta, cumulant=False):
         eta = _check_finite(eta)
-        return Evaluation(eta, eta, np.ones_like(eta), eta ** 2 / 2.0 if cumulant else None)
+        return Evaluation(eta, eta, None, eta ** 2 / 2.0 if cumulant else None)
+
+    def b_ddot(self, eta):
+        return np.ones_like(_check_finite(eta))
 
     def link(self, mu):
         return np.asarray(mu, dtype=float)
@@ -148,7 +155,7 @@ class Binomial(Family):
 
     def evaluate(self, eta, cumulant=False):
         eta = _check_finite(eta)
-        clamped = np.clip(eta, -ETA_MAX, ETA_MAX)
+        clamped = eta.clip(-ETA_MAX, ETA_MAX)
         mu = 1.0 / (1.0 + np.exp(-clamped))
         # log(1 + e^eta) via the stable log1p branch
         b = np.logaddexp(0.0, clamped) if cumulant else None
@@ -180,7 +187,7 @@ class Poisson(Family):
     def evaluate(self, eta, cumulant=False):
         eta = _check_finite(eta)
         # b = bdot = bddot = exp(eta)
-        mu = np.exp(np.clip(eta, -ETA_MAX, ETA_MAX))
+        mu = np.exp(eta.clip(-ETA_MAX, ETA_MAX))
         return Evaluation(eta, mu, mu, mu if cumulant else None)
 
     def link(self, mu):

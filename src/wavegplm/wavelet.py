@@ -42,12 +42,13 @@ into the result, with no pairwise regrouping (the ``numpy.sum`` docs
 keep pairwise summation to the fast axis), and on ``initial=0.0``
 starting each output at +0.0.  Levels shorter than L/2,
 reached only below a coarse level of log2(L/2), add slices by shift
-instead.  No stage builds an index array or keeps state between calls.
+instead.  No stage keeps state between calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -135,12 +136,17 @@ class WaveletFilter:
     lowpass: np.ndarray
     vanishing_moments: int
     highpass: np.ndarray = field(init=False)
+    #: the taps as synthesis reads them: (lowpass, highpass), each with
+    #: [s, r, 0, 0] = tap 2q + r for q = L/2 - 1 - s
+    slabs: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         h = np.asarray(self.lowpass, dtype=float)
         g = ((-1.0) ** np.arange(h.size)) * h[::-1]
         object.__setattr__(self, "lowpass", h)
         object.__setattr__(self, "highpass", g)
+        object.__setattr__(self, "slabs", tuple(taps.reshape(-1, 2)[::-1, :, None, None]
+                                                for taps in (h, g)))
 
     def __len__(self):
         return self.lowpass.size
@@ -213,8 +219,10 @@ class CoefficientLayout:
         return mask
 
 
+@lru_cache(maxsize=64)
 def coefficient_layout(n: int, coarse_level: int) -> CoefficientLayout:
-    """Partition of flat indices 0..n-1 into scaling and detail blocks."""
+    """Partition of flat indices 0..n-1 into scaling and detail blocks
+    (one shared instance per argument pair)."""
     return CoefficientLayout(n=n, coarse_level=coarse_level)
 
 
@@ -261,62 +269,49 @@ def _analysis_stage(x: np.ndarray, filt: WaveletFilter):
     return window @ filt.lowpass, window @ filt.highpass
 
 
-def _terms(lowpass: np.ndarray, highpass: np.ndarray, approx: np.ndarray,
-           detail: np.ndarray) -> np.ndarray:
-    """h_l approx + g_l detail for every tap pair, taps on the leading axes."""
-    terms = np.multiply(lowpass, approx, out=np.empty(lowpass.shape[:2] + approx.shape))
-    terms += highpass * detail
-    return terms
-
-
-def _add_unwrapped(terms: np.ndarray, out: np.ndarray):
-    """out[..., k] = the sum of terms[s, ..., k + s] by increasing s, from +0.0."""
-    s0, s1, s2, s3 = terms.strides
-    np.add.reduce(np.ndarray(terms.shape[:3] + out.shape[-1:], buffer=terms,
-                             strides=(s0 + s3, s1, s2, s3)),
-                  axis=0, initial=0.0, out=out)
-
-
 def _synthesis_stage(approx: np.ndarray, detail: np.ndarray, filt: WaveletFilter) -> np.ndarray:
     rows, h = approx.shape
     half = len(filt) // 2
     # terms[s, r, j, i] = h_l approx_ji + g_l detail_ji with l = 2q + r and
     # q = half - 1 - s lands on x_j[2k + r] for k = (i + q) mod h; slabs run
     # by decreasing q, so that in the views below the summed axis s steps
-    # forward through memory and stays the outer loop of each reduction
-    lowpass, highpass = (taps.reshape(half, 2)[::-1, :, None, None]
-                         for taps in (filt.lowpass, filt.highpass))
-    out = np.zeros((rows, h, 2))
+    # forward through memory and stays the outer loop of each reduction;
+    # they read the terms through their C-ordered buffer.  A long level
+    # forms here only the first and the last half columns
+    lowpass, highpass = filt.slabs
+    ends = slice(None) if h <= SYNTHESIS_BLOCK else np.r_[:half, h - half:h]
+    terms = np.multiply(lowpass, approx[:, ends], order="C")
+    terms += highpass * detail[:, ends]
+    # the two reductions below write every output; the shifts add to zeros
+    out = (np.zeros if h < half else np.empty)((rows, h, 2))
     # planes[r, j, k] is x_j[2k + r]; its inner axis k keeps the inner loop
     # of each reduction long
     planes = out.transpose(2, 0, 1)
+    if h < half:
+        # a level shorter than half the filter, around which the terms
+        # wrap several times: add slices by shift k - i = d from h - 1
+        # down to 0, the terms that do not wrap, then k - i = d - h from
+        # h - 1 down to 1, the terms that wrap; ties by increasing q
+        for d in range(h - 1, -1, -1):
+            for q in range(d, half, h):
+                planes[:, :, d:] += terms[half - 1 - q, :, :, :h - d]
+        for d in range(h - 1, 0, -1):
+            for q in range(d, half, h):
+                planes[:, :, :d] += terms[half - 1 - q, :, :, h - d:]
+        return out.reshape(rows, 2 * h)
     # output k >= half - 1 adds terms[s, :, :, k - half + 1 + s] by
     # increasing s, which is increasing i; none of them wraps
-    if h <= SYNTHESIS_BLOCK:
-        terms = _terms(lowpass, highpass, approx, detail)
-        if h < half:
-            # a level shorter than half the filter, around which the terms
-            # wrap several times: add slices by shift k - i = d from h - 1
-            # down to 0, the terms that do not wrap, then k - i = d - h from
-            # h - 1 down to 1, the terms that wrap; ties by increasing q
-            for d in range(h - 1, -1, -1):
-                for q in range(d, half, h):
-                    planes[:, :, d:] += terms[half - 1 - q, :, :, :h - d]
-            for d in range(h - 1, 0, -1):
-                for q in range(d, half, h):
-                    planes[:, :, :d] += terms[half - 1 - q, :, :, h - d:]
-            return out.reshape(rows, 2 * h)
-        _add_unwrapped(terms, planes[:, :, half - 1:])
-    else:
-        for k0 in range(half - 1, h, SYNTHESIS_BLOCK):
-            k1 = min(k0 + SYNTHESIS_BLOCK, h)
+    for k0 in range(half - 1, h, SYNTHESIS_BLOCK):
+        k1 = min(k0 + SYNTHESIS_BLOCK, h)
+        block = terms
+        if h > SYNTHESIS_BLOCK:
             columns = slice(k0 - half + 1, k1)
-            _add_unwrapped(_terms(lowpass, highpass, approx[:, columns], detail[:, columns]),
-                           planes[:, :, k0:k1])
-        # the outputs below need only the first and the last half columns
-        terms = np.concatenate([_terms(lowpass, highpass, approx[:, columns], detail[:, columns])
-                                for columns in (slice(None, half), slice(h - half, None))],
-                               axis=-1)
+            block = np.multiply(lowpass, approx[:, columns], order="C")
+            block += highpass * detail[:, columns]
+        s0, s1, s2, s3 = block.strides
+        np.add.reduce(np.ndarray((half, 2, rows, k1 - k0), buffer=block,
+                                 strides=(s0 + s3, s1, s2, s3)),
+                      axis=0, initial=0.0, out=planes[:, :, k0:k1])
     # output k < half - 1 adds, by increasing i, the columns i = 0..k (slab
     # s = half - 1 - k + i) and then the wrapped columns i = h - half + c,
     # c = k + 1..half - 1 (slab c - k - 1): after the first columns of every

@@ -8,7 +8,7 @@ import pytest
 
 from wavegplm import cli
 from wavegplm.cli import _dump_json, _parse_bulk, _parse_lines, main, read_dataset
-from wavegplm.errors import ConfigurationError
+from wavegplm.errors import ConfigurationError, DimensionError
 from wavegplm.estimator import FitConfig
 
 
@@ -140,6 +140,12 @@ def test_bulk_parser_agrees_with_line_parser(tmp_path, text, bulk):
         with pytest.raises(ConfigurationError) as got:
             read_dataset(str(path))
         assert str(got.value) == str(exc)
+        return
+    if expected.shape[1] == 1:
+        # no covariate column: the parsers agree, and Dataset rejects the table
+        assert _parse_bulk(body).tobytes() == expected.tobytes()
+        with pytest.raises(DimensionError, match="need at least one covariate column"):
+            read_dataset(str(path))
         return
     data = read_dataset(str(path))
     assert data.y.tobytes() == expected[:, 0].tobytes()
@@ -296,6 +302,19 @@ class TestFitCommand:
     def test_unknown_flag_exit_2(self, capsys):
         assert main(["fit", "x.csv", "--bogus"]) == 2
 
+    def test_no_covariate_column_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "d.csv"
+        path.write_text("y\n" + "".join(f"{i}\n" for i in range(8)))
+        assert main(["fit", str(path)]) == 2
+        assert "need at least one covariate column" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("delta", ["nan", "inf"])
+    def test_non_finite_delta_exit_2(self, tmp_path, capsys, delta):
+        data_path = tmp_path / "d.csv"
+        _write_gaussian_dataset(data_path)
+        assert main(["fit", str(data_path), f"--delta={delta}"]) == 2
+        assert "delta must be finite and nonnegative" in capsys.readouterr().err
+
 
 class TestSimulateCommand:
     ARGS = ["simulate", "--n", "64", "--reps", "3", "--seed", "9",
@@ -364,6 +383,11 @@ class TestCalibrateCommand:
     def test_bad_grid_spec(self, capsys, flag, spec):
         assert main(["calibrate", "--n", "64", flag, spec]) == 2
         assert "cannot parse" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("m", ["0", "-2"])
+    def test_sweep_m_below_one_exit_2(self, capsys, m):
+        assert main(["calibrate", "--n", "64", "--reps", "2", f"--sweep-m={m}"]) == 2
+        assert "class count m must be a positive integer" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, values", [("n", "32,64"), ("m", "8,24")],
                              ids=["n", "m"])

@@ -114,11 +114,21 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             FitConfig(kappa=0)
 
+    @pytest.mark.parametrize("delta", [-1e-12, math.nan, math.inf])
+    def test_negative_or_non_finite_delta(self, delta):
+        # NaN never ends a fit and inf ends it at iteration 2 with a warning
+        with pytest.raises(ConfigurationError, match="delta must be finite and nonnegative"):
+            FitConfig(delta=delta)
+
     def test_dataset_shapes(self):
         with pytest.raises(DimensionError):
             Dataset(y=np.zeros(12), X=np.zeros((12, 1)))
         with pytest.raises(DimensionError):
             Dataset(y=np.zeros(8), X=np.zeros((4, 1)))
+
+    def test_dataset_needs_a_covariate(self):
+        with pytest.raises(DimensionError, match="at least one covariate column"):
+            Dataset(y=np.zeros(8), X=np.zeros((8, 0)))
 
     def test_dataset_grid(self):
         data = Dataset(y=np.zeros(4), X=np.zeros((4, 1)))
@@ -132,6 +142,16 @@ class TestThresholdVector:
         layout = coefficient_layout(64, 3)
         np.testing.assert_allclose(thr[layout.detail_mask], 2.5, atol=1e-10)
         np.testing.assert_array_equal(thr[layout.scaling_slice], 0.0)
+        # no weights (a gaussian evaluation) takes the cached |Psi Psi^T 1|;
+        # it gives the bits of the weighted formula at w = 1, row by row
+        lam = np.array([2.5, 0.7])
+        for n in (64, 4096):
+            signals = np.random.default_rng(n).standard_normal((2, n))
+            unit, coeffs = per_coefficient_thresholds(lam, None, filt, 3, signals)
+            weighted, expected = per_coefficient_thresholds(lam, np.ones((2, n)), filt, 3,
+                                                            signals)
+            np.testing.assert_array_equal(unit, weighted)
+            np.testing.assert_array_equal(coeffs.values, expected.values)
 
     def test_scales_linearly_with_lambda(self):
         filt = make_filter("daubechies-4")
@@ -196,6 +216,14 @@ def _gaussian_data(seed, n=64, p=2, sigma=1.0):
     return Dataset(y=y, X=X), beta0, f0
 
 
+class _UnitWeightsAsArray(Gaussian):
+    """The gaussian family with bddot = 1 spelled out as an array of ones,
+    which sends the steps down the weighted path."""
+
+    def evaluate(self, eta, cumulant=False):
+        return replace(super().evaluate(eta, cumulant), b_ddot=np.ones(np.shape(eta)))
+
+
 class TestGaussianClosedForm:
     """For the gaussian family each step has an explicit closed form:
     functional step = soft-thresholded DWT of y - X beta, linear step =
@@ -226,6 +254,15 @@ class TestGaussianClosedForm:
         got = linear_step(data, fam, np.zeros(2), f0)
         expected, *_ = np.linalg.lstsq(data.X, data.y - f0, rcond=None)
         np.testing.assert_allclose(got, expected, atol=1e-10)
+        # the unit-weight step gives the bits of the weighted one at bddot = 1,
+        # alone and for a stack of rows; at n = 4096 numpy's X.T @ X (BLAS
+        # syrk) differs from the weighted Gram matrix in the last bits
+        big, _, f_big = _gaussian_data(seed, n=4096)
+        stack = Dataset(y=np.stack([big.y, big.y[::-1]]), X=big.X)
+        for rows, f in ((big, f_big), (stack, np.stack([f_big, -f_big]))):
+            beta = np.zeros(rows.y.shape[:-1] + (2,))
+            np.testing.assert_array_equal(linear_step(rows, fam, beta, f),
+                                          linear_step(rows, _UnitWeightsAsArray(), beta, f))
 
 
 class TestGlmOracle:
