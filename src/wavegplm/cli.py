@@ -310,9 +310,10 @@ def _sweep(key: str, spec: str, ratio_grid: str, point) -> dict:
     except ValueError as exc:
         raise ConfigurationError(f"cannot parse sweep list {spec!r}: {exc}") from exc
     ratios = _parse_grid(ratio_grid)
+    # every point is built, and so validated, before the first calibration
+    points = [point(value) for value in values]
     scales, stars, curves = [], [], []
-    for value in values:
-        cfg, scale = point(value)
+    for value, (cfg, scale) in zip(values, points):
         curve = calibrate_threshold(cfg, ratios * scale)
         scales.append(scale)
         stars.append(curve.argmin_lambda)

@@ -118,9 +118,9 @@ class Gaussian(Family):
     kind = "gaussian"
 
     def __init__(self, phi: float = 1.0):
-        if phi < 0:
-            raise ConfigurationError("gaussian dispersion must be nonnegative")
         self.phi = float(phi)
+        if not 0.0 <= self.phi < np.inf:
+            raise ConfigurationError(f"gaussian phi must be finite and nonnegative, got {phi}")
 
     def evaluate(self, eta, cumulant=False):
         eta = _check_finite(eta)

@@ -101,6 +101,8 @@ def test_function(name: str, n: int, target_snr: float, phi: float = 1.0) -> Tes
     if target_snr == 0.0:
         values = np.zeros(n)
     else:
+        if not phi > 0.0:
+            raise ConfigurationError(f"an SNR needs a positive dispersion, got phi = {phi}")
         rms = math.sqrt(float(np.mean(raw ** 2)) / phi)
         values = raw * (target_snr / rms)
     return TestFunction(name=name, values=values, target_snr_f=float(target_snr))
@@ -149,6 +151,10 @@ class SimulationConfig:
     fit: FitConfig = field(default_factory=FitConfig)
 
     def __post_init__(self):
+        for name in ("beta0", "target_snr_f", "target_snr_beta"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigurationError(f"{name} must be finite, got {value}")
         if self.replications < 1:
             raise ConfigurationError("need at least one replication")
         if self.n <= 0 or self.n & (self.n - 1):
@@ -214,6 +220,8 @@ def replication_rng(seed: int, r: int) -> np.random.Generator:
 
 def _design(config: SimulationConfig, family: Family):
     """Covariates X, true f0, the SNRs and the true eta0 of an experiment."""
+    if family.phi == 0.0:
+        raise ConfigurationError("an SNR needs a positive dispersion, got phi = 0.0")
     rng = design_rng(config.seed)
     X = covariate_design(config.n, config.p, rng)
     beta0 = np.full(config.p, config.beta0)

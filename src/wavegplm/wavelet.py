@@ -14,8 +14,8 @@ Both transforms act along the last axis of a ``(..., n)`` array, so one
 call transforms a stack of signals (one fit per row in a lockstep
 backfit).  Every row gets the bits its own 1-d call gives: each row's
 windows go through their own BLAS product, and synthesis sums every row
-with the same two reductions per level, which spreads their per-level
-Python cost over the rows.
+with the same one or two reductions per level, which spreads their
+per-level Python cost over the rows.
 
 Sign convention: the highpass filter is derived from the lowpass taps h by
 the quadrature-mirror relation g_k = (-1)^k h_{L-1-k}.  For the Haar filter
@@ -28,21 +28,23 @@ x[(2i + l) mod m], l = 0..L-1, with the lowpass or the highpass taps.
 Synthesis starts every output x[p] at +0.0 and adds the terms
 h_l a_i + g_l d_i with (2i + l) mod m = p in increasing i, ties in
 increasing l: the order of an unbuffered scatter-add over that circular
-index, which the tests keep as the reference.  A level forms its L x m/2
-terms with two broadcasting multiplies and sums them with two
+index, which the tests keep as the reference.  A level of at most
+PLAN_LEVEL outputs per parity takes its terms through a cached gather
+plan, which lists each output's L/2 input indices and taps in that
+order, and sums them with one ``np.add.reduce(..., axis=-2,
+initial=0.0)``.  A longer level forms its L x m/2 terms with two
+broadcasting multiplies and sums them with two
 ``np.add.reduce(..., axis=0, initial=0.0, out=...)`` calls over strided
 views that list each output's terms in that order, one for the outputs
 whose terms do not wrap around the level and one, over a small copy of
-the columns they need, for the first L/2 - 1 outputs of each parity.
-A level longer than SYNTHESIS_BLOCK outputs forms and sums the terms of
-the outputs that do not wrap one block of that many outputs at a time,
-so its temporaries keep one size whatever n is.  This relies on numpy
-adding along a reduced axis that is not the fast one a term at a time
-into the result, with no pairwise regrouping (the ``numpy.sum`` docs
-keep pairwise summation to the fast axis), and on ``initial=0.0``
-starting each output at +0.0.  Levels shorter than L/2,
-reached only below a coarse level of log2(L/2), add slices by shift
-instead.  No stage keeps state between calls.
+the columns they need, for the first L/2 - 1 outputs of each parity;
+beyond SYNTHESIS_BLOCK outputs it forms and sums the terms of the
+outputs that do not wrap one block of that many outputs at a time, so
+its temporaries keep one size whatever n is.  Both rely on numpy adding
+along a reduced axis that is not the fast one a term at a time into the
+result, with no pairwise regrouping (the ``numpy.sum`` docs keep
+pairwise summation to the fast axis), and on ``initial=0.0`` starting
+each output at +0.0.  No stage keeps state between calls.
 """
 
 from __future__ import annotations
@@ -126,6 +128,10 @@ SUPPORTED_FILTERS = tuple(sorted(_FILTER_TABLE))
 #: maps afresh and the kernel faults in on every call; blocks of a fixed
 #: size are reused from the heap
 SYNTHESIS_BLOCK = 8192
+
+#: outputs per parity of the longest synthesis level summed through a gather
+#: plan; gathering costs more than the strided reductions on longer levels
+PLAN_LEVEL = 256
 
 
 @dataclass(frozen=True)
@@ -269,8 +275,35 @@ def _analysis_stage(x: np.ndarray, filt: WaveletFilter):
     return window @ filt.lowpass, window @ filt.highpass
 
 
+@lru_cache(maxsize=64)
+def _synthesis_plan(h: int, filter_name: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only gather plan of a synthesis level of h outputs per parity:
+    column[t, p] is the input i of the t-th term (i, l), (2i + l) mod 2h = p,
+    of output p by increasing i, then l; low and high hold h_l and g_l."""
+    filt = make_filter(filter_name)
+    L, p = len(filt), np.arange(2 * h)
+    # output p = 2k + r takes tap l = 2q + r from input i = (k - q) mod h;
+    # its terms go in increasing order of the key i L + l
+    q = np.arange(L // 2)[:, None]
+    column, tap = np.divmod(np.sort((p // 2 - q) % h * L + 2 * q + p % 2, axis=0), L)
+    plan = column, filt.lowpass[tap], filt.highpass[tap]
+    for array in plan:
+        array.flags.writeable = False
+    return plan
+
+
 def _synthesis_stage(approx: np.ndarray, detail: np.ndarray, filt: WaveletFilter) -> np.ndarray:
     rows, h = approx.shape
+    if h <= PLAN_LEVEL:
+        # terms[j, t, p] = h_l approx_ji + g_l detail_ji for the t-th term
+        # (i, l) of output p, summed over t in plan order
+        column, low, high = _synthesis_plan(h, filt.name)
+        terms = approx.take(column, axis=-1)
+        terms *= low
+        products = detail.take(column, axis=-1)
+        products *= high
+        terms += products
+        return np.add.reduce(terms, axis=-2, initial=0.0)
     half = len(filt) // 2
     # terms[s, r, j, i] = h_l approx_ji + g_l detail_ji with l = 2q + r and
     # q = half - 1 - s lands on x_j[2k + r] for k = (i + q) mod h; slabs run
@@ -282,23 +315,11 @@ def _synthesis_stage(approx: np.ndarray, detail: np.ndarray, filt: WaveletFilter
     ends = slice(None) if h <= SYNTHESIS_BLOCK else np.r_[:half, h - half:h]
     terms = np.multiply(lowpass, approx[:, ends], order="C")
     terms += highpass * detail[:, ends]
-    # the two reductions below write every output; the shifts add to zeros
-    out = (np.zeros if h < half else np.empty)((rows, h, 2))
+    # the two reductions below write every output
+    out = np.empty((rows, h, 2))
     # planes[r, j, k] is x_j[2k + r]; its inner axis k keeps the inner loop
     # of each reduction long
     planes = out.transpose(2, 0, 1)
-    if h < half:
-        # a level shorter than half the filter, around which the terms
-        # wrap several times: add slices by shift k - i = d from h - 1
-        # down to 0, the terms that do not wrap, then k - i = d - h from
-        # h - 1 down to 1, the terms that wrap; ties by increasing q
-        for d in range(h - 1, -1, -1):
-            for q in range(d, half, h):
-                planes[:, :, d:] += terms[half - 1 - q, :, :, :h - d]
-        for d in range(h - 1, 0, -1):
-            for q in range(d, half, h):
-                planes[:, :, :d] += terms[half - 1 - q, :, :, h - d:]
-        return out.reshape(rows, 2 * h)
     # output k >= half - 1 adds terms[s, :, :, k - half + 1 + s] by
     # increasing s, which is increasing i; none of them wraps
     for k0 in range(half - 1, h, SYNTHESIS_BLOCK):

@@ -315,6 +315,20 @@ class TestFitCommand:
         assert main(["fit", str(data_path), f"--delta={delta}"]) == 2
         assert "delta must be finite and nonnegative" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("phi", ["nan", "inf", "-1"])
+    def test_non_finite_or_negative_phi_exit_2(self, tmp_path, capsys, phi):
+        data_path = tmp_path / "d.csv"
+        _write_gaussian_dataset(data_path)
+        assert main(["fit", str(data_path), f"--phi={phi}"]) == 2
+        assert "phi must be finite and nonnegative" in capsys.readouterr().err
+
+    def test_zero_phi_fits_without_threshold(self, tmp_path):
+        data_path = tmp_path / "d.csv"
+        _write_gaussian_dataset(data_path)
+        out = tmp_path / "fit.json"
+        assert main(["fit", str(data_path), "--phi", "0", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["lambda"] == 0.0
+
 
 class TestSimulateCommand:
     ARGS = ["simulate", "--n", "64", "--reps", "3", "--seed", "9",
@@ -345,6 +359,15 @@ class TestSimulateCommand:
         assert a.read_bytes() == b.read_bytes()
         assert (tmp_path / "a.json.plot.tsv").read_bytes() == \
             (tmp_path / "b.json.plot.tsv").read_bytes()
+
+    @pytest.mark.parametrize("flag", ["--snr-f=nan", "--snr-beta=nan", "--beta0=inf"])
+    def test_non_finite_input_exit_2(self, capsys, flag):
+        assert main(self.ARGS + [flag]) == 2
+        assert "must be finite" in capsys.readouterr().err
+
+    def test_zero_phi_exit_2(self, capsys):
+        assert main(self.ARGS + ["--phi", "0"]) == 2
+        assert "positive dispersion" in capsys.readouterr().err
 
 
 class TestCalibrateCommand:
@@ -388,6 +411,16 @@ class TestCalibrateCommand:
     def test_sweep_m_below_one_exit_2(self, capsys, m):
         assert main(["calibrate", "--n", "64", "--reps", "2", f"--sweep-m={m}"]) == 2
         assert "class count m must be a positive integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--sweep-m", "24,0"],
+                                      ["--family", "poisson", "--sweep-n", "64,100"]],
+                             ids=["sweep-m", "sweep-n"])
+    def test_sweep_validated_before_the_first_calibration(self, monkeypatch, capsys, argv):
+        calls = []
+        monkeypatch.setattr(cli, "calibrate_threshold", lambda *args: calls.append(args))
+        assert main(["calibrate", "--n", "64", "--reps", "2"] + argv) == 2
+        assert calls == []
+        assert capsys.readouterr().err.startswith("error: ")
 
     @pytest.mark.parametrize("key, values", [("n", "32,64"), ("m", "8,24")],
                              ids=["n", "m"])

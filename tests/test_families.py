@@ -84,6 +84,11 @@ class TestGaussian:
         with pytest.raises(ConfigurationError):
             Gaussian(phi=-1.0)
 
+    @pytest.mark.parametrize("phi", [np.nan, np.inf])
+    def test_non_finite_phi_rejected(self, phi):
+        with pytest.raises(ConfigurationError, match="finite and nonnegative"):
+            Gaussian(phi=phi)
+
 
 class TestBinomial:
     def test_dispersion_is_reciprocal_m(self):

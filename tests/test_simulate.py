@@ -91,6 +91,12 @@ class TestTestFunction:
         with pytest.raises(DimensionError):
             benchmark_function("sinus", 100, 1.0)
 
+    def test_zero_dispersion_rejected(self):
+        # an SNR is relative to the noise, so a noiseless design has none
+        with pytest.raises(ConfigurationError, match="positive dispersion"):
+            benchmark_function("sinus", 64, 3.0, phi=0.0)
+        assert not benchmark_function("sinus", 64, 0.0, phi=0.0).values.any()
+
 
 class TestSnrAndRmise:
     def test_constant_function_gaussian(self):
@@ -221,6 +227,18 @@ class TestRunMonteCarlo:
             _small_config(replications=0)
         with pytest.raises(DimensionError):
             _small_config(n=100)
+
+    @pytest.mark.parametrize("field", ["beta0", "target_snr_f", "target_snr_beta"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_inputs_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match=f"{field} must be finite"):
+            _small_config(**{field: value})
+
+    @pytest.mark.parametrize("snr_beta", [None, 2.0])
+    def test_zero_dispersion_rejected(self, snr_beta):
+        config = _small_config(phi=0.0, target_snr_beta=snr_beta)
+        with pytest.raises(ConfigurationError, match="positive dispersion"):
+            run_monte_carlo(config)
 
 
 class TestCalibration:

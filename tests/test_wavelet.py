@@ -12,7 +12,7 @@ from wavegplm import (
     make_filter,
     transform_matrix,
 )
-from wavegplm.wavelet import SYNTHESIS_BLOCK
+from wavegplm.wavelet import PLAN_LEVEL, SYNTHESIS_BLOCK, _synthesis_plan
 
 
 class TestMakeFilter:
@@ -248,10 +248,12 @@ def test_kernels_match_add_at_reference_at_65536():
 def test_stacked_rows_match_one_dimensional_calls_bit_for_bit(name, rows):
     # every row of a (..., n) transform equals the 1-d transform of that
     # row (which the add.at reference pins down), down to coarse level 0
-    # and with a row of signed zeros among ordinary rows
+    # and with a row of signed zeros among ordinary rows; up to n = 1024,
+    # whose last synthesis level is longer than PLAN_LEVEL
+    assert 1 << 9 > PLAN_LEVEL
     filt = make_filter(name)
     rng = np.random.default_rng([len(filt), *rows])
-    for J in range(1, 9):
+    for J in range(1, 11):
         n = 1 << J
         for j0 in range(J + 1):
             layout = coefficient_layout(n, j0)
@@ -267,3 +269,24 @@ def test_stacked_rows_match_one_dimensional_calls_bit_for_bit(name, rows):
                     _assert_bits_equal(
                         inverse[row],
                         idwt(WaveletCoefficients(values=values[row], layout=layout), filt))
+
+
+@pytest.mark.parametrize("name", SUPPORTED_FILTERS)
+def test_synthesis_plans_list_each_outputs_terms_in_reference_order(name):
+    # output p of a level of h outputs per parity adds the terms (i, l) with
+    # (2i + l) mod 2h = p in increasing order: the order in which np.add.at
+    # visits them, collected here by walking every pair in that order
+    filt = make_filter(name)
+    L = len(filt)
+    for h in (1 << J for J in range(PLAN_LEVEL.bit_length())):
+        terms = [[] for _ in range(2 * h)]
+        for i in range(h):
+            for l in range(L):
+                terms[(2 * i + l) % (2 * h)].append((i, l))
+        i, l = np.array(terms).transpose(2, 1, 0)
+        column, low, high = _synthesis_plan(h, name)
+        np.testing.assert_array_equal(column, i)
+        _assert_bits_equal(low, filt.lowpass[l])
+        _assert_bits_equal(high, filt.highpass[l])
+        for array in (column, low, high):
+            assert not array.flags.writeable
