@@ -28,12 +28,12 @@ x[(2i + l) mod m], l = 0..L-1, with the lowpass or the highpass taps.
 Synthesis starts every output x[p] at +0.0 and adds the terms
 h_l a_i + g_l d_i with (2i + l) mod m = p in increasing i, ties in
 increasing l: the order of an unbuffered scatter-add over that circular
-index, which the tests keep as the reference.  A level of at most
-PLAN_LEVEL outputs per parity takes its terms through a cached gather
-plan, which lists each output's L/2 input indices and taps in that
-order, and sums them with one ``np.add.reduce(..., axis=-2,
-initial=0.0)``.  A longer level forms its L x m/2 terms with two
-broadcasting multiplies and sums them with two
+index, which the tests keep as the reference.  A stage of at most
+PLAN_OUTPUTS outputs over all its rows, or on a level shorter than L/2,
+takes its terms through a cached gather plan, which lists each output's
+L/2 input indices and taps in that order, and sums them with one
+``np.add.reduce(..., axis=-2, initial=0.0)``.  A larger stage forms its
+L x m/2 terms with two broadcasting multiplies and sums them with two
 ``np.add.reduce(..., axis=0, initial=0.0, out=...)`` calls over strided
 views that list each output's terms in that order, one for the outputs
 whose terms do not wrap around the level and one, over a small copy of
@@ -129,9 +129,10 @@ SUPPORTED_FILTERS = tuple(sorted(_FILTER_TABLE))
 #: size are reused from the heap
 SYNTHESIS_BLOCK = 8192
 
-#: outputs per parity of the longest synthesis level summed through a gather
-#: plan; gathering costs more than the strided reductions on longer levels
-PLAN_LEVEL = 256
+#: outputs (rows x 2h) of the largest synthesis stage summed through a gather
+#: plan: faster up to this size from 1 to 128 rows, not beyond it.  A level
+#: with h < L/2 is always planned, as the strided reductions need h >= L/2
+PLAN_OUTPUTS = 2048
 
 
 @dataclass(frozen=True)
@@ -276,17 +277,16 @@ def _analysis_stage(x: np.ndarray, filt: WaveletFilter):
 
 
 @lru_cache(maxsize=64)
-def _synthesis_plan(h: int, filter_name: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only gather plan of a synthesis level of h outputs per parity:
-    column[t, p] is the input i of the t-th term (i, l), (2i + l) mod 2h = p,
-    of output p by increasing i, then l; low and high hold h_l and g_l."""
-    filt = make_filter(filter_name)
-    L, p = len(filt), np.arange(2 * h)
+def _synthesis_plan(h: int, lowpass: bytes, highpass: bytes) -> tuple[np.ndarray, ...]:
+    """Read-only gather plan of a level of h outputs per parity for these taps (float64
+    bytes): column[t, p] is the input i of the t-th term (i, l), (2i + l) mod 2h = p, of
+    output p by increasing i, then l, and low and high hold its h_l and g_l."""
+    low, high = np.frombuffer(lowpass), np.frombuffer(highpass)
+    L, p, q = low.size, np.arange(2 * h), np.arange(low.size // 2)[:, None]
     # output p = 2k + r takes tap l = 2q + r from input i = (k - q) mod h;
     # its terms go in increasing order of the key i L + l
-    q = np.arange(L // 2)[:, None]
     column, tap = np.divmod(np.sort((p // 2 - q) % h * L + 2 * q + p % 2, axis=0), L)
-    plan = column, filt.lowpass[tap], filt.highpass[tap]
+    plan = column, low[tap], high[tap]
     for array in plan:
         array.flags.writeable = False
     return plan
@@ -294,17 +294,17 @@ def _synthesis_plan(h: int, filter_name: str) -> tuple[np.ndarray, np.ndarray, n
 
 def _synthesis_stage(approx: np.ndarray, detail: np.ndarray, filt: WaveletFilter) -> np.ndarray:
     rows, h = approx.shape
-    if h <= PLAN_LEVEL:
+    half = len(filt) // 2
+    if 2 * rows * h <= PLAN_OUTPUTS or h < half:
         # terms[j, t, p] = h_l approx_ji + g_l detail_ji for the t-th term
         # (i, l) of output p, summed over t in plan order
-        column, low, high = _synthesis_plan(h, filt.name)
+        column, low, high = _synthesis_plan(h, filt.lowpass.tobytes(), filt.highpass.tobytes())
         terms = approx.take(column, axis=-1)
         terms *= low
         products = detail.take(column, axis=-1)
         products *= high
         terms += products
         return np.add.reduce(terms, axis=-2, initial=0.0)
-    half = len(filt) // 2
     # terms[s, r, j, i] = h_l approx_ji + g_l detail_ji with l = 2q + r and
     # q = half - 1 - s lands on x_j[2k + r] for k = (i + q) mod h; slabs run
     # by decreasing q, so that in the views below the summed axis s steps

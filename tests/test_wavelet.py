@@ -6,13 +6,14 @@ from wavegplm import (
     DimensionError,
     SUPPORTED_FILTERS,
     WaveletCoefficients,
+    WaveletFilter,
     coefficient_layout,
     dwt,
     idwt,
     make_filter,
     transform_matrix,
 )
-from wavegplm.wavelet import PLAN_LEVEL, SYNTHESIS_BLOCK, _synthesis_plan
+from wavegplm.wavelet import PLAN_OUTPUTS, SYNTHESIS_BLOCK, _synthesis_plan, _synthesis_stage
 
 
 class TestMakeFilter:
@@ -249,8 +250,9 @@ def test_stacked_rows_match_one_dimensional_calls_bit_for_bit(name, rows):
     # every row of a (..., n) transform equals the 1-d transform of that
     # row (which the add.at reference pins down), down to coarse level 0
     # and with a row of signed zeros among ordinary rows; up to n = 1024,
-    # whose last synthesis level is longer than PLAN_LEVEL
-    assert 1 << 9 > PLAN_LEVEL
+    # whose last synthesis level one row sums through a gather plan and a
+    # stack of 7 rows through the strided reductions
+    assert 2 * 7 * 512 > PLAN_OUTPUTS >= 2 * 512
     filt = make_filter(name)
     rng = np.random.default_rng([len(filt), *rows])
     for J in range(1, 11):
@@ -278,15 +280,45 @@ def test_synthesis_plans_list_each_outputs_terms_in_reference_order(name):
     # visits them, collected here by walking every pair in that order
     filt = make_filter(name)
     L = len(filt)
-    for h in (1 << J for J in range(PLAN_LEVEL.bit_length())):
+    for h in (1 << J for J in range((PLAN_OUTPUTS // 2).bit_length())):
         terms = [[] for _ in range(2 * h)]
         for i in range(h):
             for l in range(L):
                 terms[(2 * i + l) % (2 * h)].append((i, l))
         i, l = np.array(terms).transpose(2, 1, 0)
-        column, low, high = _synthesis_plan(h, name)
+        column, low, high = _synthesis_plan(h, filt.lowpass.tobytes(), filt.highpass.tobytes())
         np.testing.assert_array_equal(column, i)
         _assert_bits_equal(low, filt.lowpass[l])
         _assert_bits_equal(high, filt.highpass[l])
         for array in (column, low, high):
             assert not array.flags.writeable
+
+
+@pytest.mark.parametrize("name", SUPPORTED_FILTERS)
+def test_synthesis_stage_matches_add_at_reference_on_both_sides_of_plan_outputs(name):
+    # a stage of at most PLAN_OUTPUTS outputs over its rows sums through a
+    # gather plan and a larger one through the strided reductions: at every
+    # level from h = L/2 up, rows that just fit and one row more
+    filt = make_filter(name)
+    rng = np.random.default_rng([len(filt), PLAN_OUTPUTS])
+    h = len(filt) // 2
+    while h <= PLAN_OUTPUTS // 2:
+        fit = PLAN_OUTPUTS // (2 * h)
+        for rows in (fit, fit + 1):
+            scale = 10.0 ** rng.uniform(-8, 8, (2, rows, h))
+            approx, detail = rng.standard_normal((2, rows, h)) * scale
+            out = _synthesis_stage(approx, detail, filt)
+            for row in range(rows):
+                _assert_bits_equal(out[row], _reference_synthesis(approx[row], detail[row], filt))
+        h *= 2
+
+
+def test_kernels_take_the_taps_of_the_filter_they_are_given():
+    # a filter built directly, under a name of its own or under a supported
+    # name with other taps, transforms with its own taps at every level
+    rng = np.random.default_rng(6)
+    for name, taps in (("custom", rng.standard_normal(6)),
+                       ("haar", make_filter("daubechies-4").lowpass)):
+        filt = WaveletFilter(name=name, lowpass=taps, vanishing_moments=0)
+        for J in range(1, 13):
+            _assert_kernels_match_reference(filt, 1 << J, 0, rng)
