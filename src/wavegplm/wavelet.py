@@ -28,11 +28,11 @@ x[(2i + l) mod m], l = 0..L-1, with the lowpass or the highpass taps.
 Synthesis starts every output x[p] at +0.0 and adds the terms
 h_l a_i + g_l d_i with (2i + l) mod m = p in increasing i, ties in
 increasing l: the order of an unbuffered scatter-add over that circular
-index, which the tests keep as the reference.  A stage of at most
-PLAN_OUTPUTS outputs over all its rows, or on a level shorter than L/2,
-takes its terms through a cached gather plan, which lists each output's
-L/2 input indices and taps in that order, and sums them with one
-``np.add.reduce(..., axis=-2, initial=0.0)``.  A larger stage forms its
+index, which the tests keep as the reference.  A stage with m/2 <=
+PLAN_LEVEL and at most PLAN_OUTPUTS outputs over all its rows, or with
+m < L, takes its terms through a cached gather plan that lists each
+output's L/2 input indices and taps in that order, and sums them with
+one ``np.add.reduce(..., axis=-2, initial=0.0)``.  Any other stage forms its
 L x m/2 terms with two broadcasting multiplies and sums them with two
 ``np.add.reduce(..., axis=0, initial=0.0, out=...)`` calls over strided
 views that list each output's terms in that order, one for the outputs
@@ -129,10 +129,11 @@ SUPPORTED_FILTERS = tuple(sorted(_FILTER_TABLE))
 #: size are reused from the heap
 SYNTHESIS_BLOCK = 8192
 
-#: outputs (rows x 2h) of the largest synthesis stage summed through a gather
-#: plan: faster up to this size from 1 to 128 rows, not beyond it.  A level
-#: with h < L/2 is always planned, as the strided reductions need h >= L/2
-PLAN_OUTPUTS = 2048
+#: synthesis stages with h <= PLAN_LEVEL outputs per parity and at most
+#: PLAN_OUTPUTS outputs over their rows gather faster (timed at 1 to 128
+#: rows); longer levels gave one-row n = 65536 fits no gain.  Levels with
+#: h < L/2 are always planned: the strided reductions need h >= L/2
+PLAN_LEVEL, PLAN_OUTPUTS = 128, 2048
 
 
 @dataclass(frozen=True)
@@ -295,9 +296,8 @@ def _synthesis_plan(h: int, lowpass: bytes, highpass: bytes) -> tuple[np.ndarray
 def _synthesis_stage(approx: np.ndarray, detail: np.ndarray, filt: WaveletFilter) -> np.ndarray:
     rows, h = approx.shape
     half = len(filt) // 2
-    if 2 * rows * h <= PLAN_OUTPUTS or h < half:
-        # terms[j, t, p] = h_l approx_ji + g_l detail_ji for the t-th term
-        # (i, l) of output p, summed over t in plan order
+    if h <= PLAN_LEVEL and 2 * rows * h <= PLAN_OUTPUTS or h < half:
+        # terms[j, t, p]: h_l approx_ji + g_l detail_ji, the t-th term (i, l) of output p
         column, low, high = _synthesis_plan(h, filt.lowpass.tobytes(), filt.highpass.tobytes())
         terms = approx.take(column, axis=-1)
         terms *= low

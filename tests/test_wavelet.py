@@ -13,7 +13,8 @@ from wavegplm import (
     make_filter,
     transform_matrix,
 )
-from wavegplm.wavelet import PLAN_OUTPUTS, SYNTHESIS_BLOCK, _synthesis_plan, _synthesis_stage
+from wavegplm.wavelet import (PLAN_LEVEL, PLAN_OUTPUTS, SYNTHESIS_BLOCK, _synthesis_plan,
+                              _synthesis_stage)
 
 
 class TestMakeFilter:
@@ -250,9 +251,8 @@ def test_stacked_rows_match_one_dimensional_calls_bit_for_bit(name, rows):
     # every row of a (..., n) transform equals the 1-d transform of that
     # row (which the add.at reference pins down), down to coarse level 0
     # and with a row of signed zeros among ordinary rows; up to n = 1024,
-    # whose last synthesis level one row sums through a gather plan and a
-    # stack of 7 rows through the strided reductions
-    assert 2 * 7 * 512 > PLAN_OUTPUTS >= 2 * 512
+    # whose last two synthesis levels are longer than PLAN_LEVEL
+    assert 1 << 8 > PLAN_LEVEL
     filt = make_filter(name)
     rng = np.random.default_rng([len(filt), *rows])
     for J in range(1, 11):
@@ -280,7 +280,7 @@ def test_synthesis_plans_list_each_outputs_terms_in_reference_order(name):
     # visits them, collected here by walking every pair in that order
     filt = make_filter(name)
     L = len(filt)
-    for h in (1 << J for J in range((PLAN_OUTPUTS // 2).bit_length())):
+    for h in (1 << J for J in range(PLAN_LEVEL.bit_length())):
         terms = [[] for _ in range(2 * h)]
         for i in range(h):
             for l in range(L):
@@ -298,11 +298,11 @@ def test_synthesis_plans_list_each_outputs_terms_in_reference_order(name):
 def test_synthesis_stage_matches_add_at_reference_on_both_sides_of_plan_outputs(name):
     # a stage of at most PLAN_OUTPUTS outputs over its rows sums through a
     # gather plan and a larger one through the strided reductions: at every
-    # level from h = L/2 up, rows that just fit and one row more
+    # level from h = L/2 to PLAN_LEVEL, rows that just fit and one row more
     filt = make_filter(name)
     rng = np.random.default_rng([len(filt), PLAN_OUTPUTS])
     h = len(filt) // 2
-    while h <= PLAN_OUTPUTS // 2:
+    while h <= PLAN_LEVEL:
         fit = PLAN_OUTPUTS // (2 * h)
         for rows in (fit, fit + 1):
             scale = 10.0 ** rng.uniform(-8, 8, (2, rows, h))
