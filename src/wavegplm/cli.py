@@ -38,6 +38,8 @@ from .wavelet import SUPPORTED_FILTERS
 
 _VALIDATION_EXIT = 2
 _NUMERIC_EXIT = 3
+#: values per chunk of a long float array the JSON writer joins at once
+_JSON_CHUNK = 8192
 
 _NON_BLANK = re.compile(r"\S")
 
@@ -54,8 +56,13 @@ def _dump_json(obj, write, pad: str = "\n"):
         obj = dataclasses.asdict(obj)
     elif isinstance(obj, np.ndarray):
         if obj.ndim == 1 and obj.size and obj.dtype.kind == "f" and np.isfinite(obj).all():
-            write("[" + inner)
-            write(("," + inner).join(map(float.__repr__, obj.tolist())))
+            # _JSON_CHUNK values at a time, so the strings in hand keep one size whatever n is
+            sep = "[" + inner
+            for start in range(0, obj.size, _JSON_CHUNK):
+                write(sep)
+                write(("," + inner).join(
+                    map(float.__repr__, obj[start:start + _JSON_CHUNK].tolist())))
+                sep = "," + inner
             write(pad + "]")
             return
         obj = list(obj) if obj.ndim > 1 else obj.tolist()

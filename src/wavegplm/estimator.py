@@ -218,11 +218,12 @@ class GplmFit:
 
 
 @lru_cache(maxsize=8)
-def _synthesized_ones(n: int, filter_name: str,
+def _synthesized_ones(n: int, lowpass: bytes,
                       coarse_level: int) -> tuple[np.ndarray, np.ndarray]:
     """Psi^T 1, the signal whose coefficients are all ones, and the
-    threshold base |Psi Psi^T 1| with the scaling block zeroed (read-only)."""
-    filt = make_filter(filter_name)
+    threshold base |Psi Psi^T 1| with the scaling block zeroed (read-only),
+    for the filter with these lowpass taps (float64 bytes)."""
+    filt = WaveletFilter(name="", lowpass=np.frombuffer(lowpass), vanishing_moments=0)
     ones = WaveletCoefficients(values=np.ones(n), layout=coefficient_layout(n, coarse_level))
     signal = idwt(ones, filt)
     levels = dwt(signal, filt, coarse_level)
@@ -259,13 +260,13 @@ def per_coefficient_thresholds(
     lam = np.asarray(lam, dtype=float)[..., None]
     if noise_scale_diag is None:
         n = np.shape(signals)[-1]
-        thresholds = lam * _synthesized_ones(n, filt.name, coarse_level)[1]
+        thresholds = lam * _synthesized_ones(n, filt.lowpass.tobytes(), coarse_level)[1]
         return thresholds, dwt(signals, filt, coarse_level)
     w = np.asarray(noise_scale_diag, dtype=float)
     if not np.isfinite(w).all():
         raise NumericError("variance weights contain non-finite values")
     n = w.shape[-1]
-    signal = _synthesized_ones(n, filt.name, coarse_level)[0]
+    signal = _synthesized_ones(n, filt.lowpass.tobytes(), coarse_level)[0]
     rows = 0 if signals is None else np.size(signals) // n
     stacked = np.empty((rows + w.size // n, n))
     if signals is not None:

@@ -321,16 +321,19 @@ def calibrate_threshold(config: SimulationConfig, lambda_grid) -> ThresholdCurve
     X, f0, _, _, eta0 = _design(config, family)
     rmises = np.full((lam_grid.size, config.replications), np.nan)
     failures = np.zeros(lam_grid.size, dtype=int)
+    first_failure = None
     for r, g, fit in _fit_replications(config, family, X, eta0, lam_grid):
         if isinstance(fit, FitError):
             failures[g] += 1
+            first_failure = first_failure or f"replication {r} at lambda {lam_grid[g]:g}: {fit}"
         else:
             rmises[g, r] = rmise(fit.f_hat, f0)
     # the mean over the fits that returned, as SimulationReport.mean_rmise
     curve = np.array([np.nanmean(row) if failed < row.size else math.nan
                       for row, failed in zip(rmises, failures)])
     if np.isnan(curve).all():
-        raise FitError("every fit failed at every threshold of the grid")
+        raise FitError("every fit failed at every threshold of the grid; the first was "
+                       + first_failure)
     argmin = float(lam_grid[int(np.nanargmin(curve))])
     return ThresholdCurve(lambdas=lam_grid, mean_rmise=curve, failures=failures,
                           argmin_lambda=argmin)

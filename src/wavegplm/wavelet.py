@@ -24,7 +24,12 @@ this yields detail coefficients d_k = (e_{2k} - e_{2k+1}) / sqrt(2).
 Summation order: a stage on m samples (approximation a, details d of
 length m/2, taps l = 0..L-1) gives the same bits on every call.
 Analysis takes each output as a BLAS dot product of the contiguous window
-x[(2i + l) mod m], l = 0..L-1, with the lowpass or the highpass taps.
+x[(2i + l) mod m], l = 0..L-1, with the lowpass or the highpass taps.  The
+windows are copied out of the level extended by only its first L - 2
+samples (by whole copies of a level shorter than that) and copied and
+multiplied at most BLOCK windows at a time, so that the L x m/2 window
+copy does not grow with n; both products go straight into the output
+array, where the level's approximation and details replace the level.
 Synthesis starts every output x[p] at +0.0 and adds the terms
 h_l a_i + g_l d_i with (2i + l) mod m = p in increasing i, ties in
 increasing l: the order of an unbuffered scatter-add over that circular
@@ -38,13 +43,13 @@ L x m/2 terms with two broadcasting multiplies and sums them with two
 views that list each output's terms in that order, one for the outputs
 whose terms do not wrap around the level and one, over a small copy of
 the columns they need, for the first L/2 - 1 outputs of each parity;
-beyond SYNTHESIS_BLOCK outputs it forms and sums the terms of the
-outputs that do not wrap one block of that many outputs at a time, so
-its temporaries keep one size whatever n is.  Both rely on numpy adding
-along a reduced axis that is not the fast one a term at a time into the
-result, with no pairwise regrouping (the ``numpy.sum`` docs keep
-pairwise summation to the fast axis), and on ``initial=0.0`` starting
-each output at +0.0.  No stage keeps state between calls.
+beyond BLOCK outputs it forms and sums the terms of the outputs that do
+not wrap one block of that many outputs at a time, so its temporaries
+keep one size whatever n is.  Both rely on numpy adding along a reduced
+axis that is not the fast one a term at a time into the result, with no
+pairwise regrouping (the ``numpy.sum`` docs keep pairwise summation to
+the fast axis), and on ``initial=0.0`` starting each output at +0.0.
+No stage keeps state between calls.
 """
 
 from __future__ import annotations
@@ -123,11 +128,11 @@ _FILTER_TABLE: dict[str, tuple[tuple[float, ...], int]] = {
 
 SUPPORTED_FILTERS = tuple(sorted(_FILTER_TABLE))
 
-#: outputs per block of a long synthesis level.  Whole-level temporaries
-#: grow to L x n/2 values (4 MiB for symmlet-8 at n = 65536), which malloc
-#: maps afresh and the kernel faults in on every call; blocks of a fixed
-#: size are reused from the heap
-SYNTHESIS_BLOCK = 8192
+#: outputs per block of a long analysis or synthesis level.  Whole-level
+#: temporaries grow to L x n/2 values (4 MiB for symmlet-8 at n = 65536),
+#: which malloc maps afresh and the kernel faults in on every call; blocks
+#: of a fixed size keep the peak from growing with n L
+BLOCK = 8192
 
 #: synthesis stages with h <= PLAN_LEVEL outputs per parity and at most
 #: PLAN_OUTPUTS outputs over their rows gather faster (timed at 1 to 128
@@ -264,17 +269,28 @@ class WaveletCoefficients:
         return self.values[..., 1 << self.layout.coarse_level:]
 
 
-def _analysis_stage(x: np.ndarray, filt: WaveletFilter):
-    m = x.shape[-1]
-    L = len(filt)
-    # window i holds x[(2i + l) mod m], l = 0..L-1: a strided view of enough
-    # copies of each row end to end, copied so that both products are BLAS
-    # calls, one per row as for a single signal
-    extended = np.concatenate((x,) * -(-(m + L - 2) // m), axis=-1)
+def _analysis_stage(level: np.ndarray, filt: WaveletFilter) -> None:
+    """Replace each row of ``level`` (..., m) by its approximation and its
+    details, m/2 each, in place."""
+    m, L = level.shape[-1], len(filt)
+    h = m // 2
+    # window i holds x[(2i + l) mod m], l = 0..L-1: a strided view of each
+    # row extended by its first L - 2 samples (by whole copies of a row
+    # shorter than that).  The extension is a copy, so the outputs may
+    # overwrite the level; windows are copied so that both products are
+    # BLAS calls, one per row as for a single signal
+    extended = np.concatenate((level,) * (1 + (L - 2) // m) + (level[..., :(L - 2) % m],),
+                              axis=-1)
     step = extended.itemsize
-    window = np.ndarray(extended.shape[:-1] + (m // 2, L), buffer=extended,
-                        strides=extended.strides[:-1] + (2 * step, step)).copy()
-    return window @ filt.lowpass, window @ filt.highpass
+    windows = np.ndarray(level.shape[:-1] + (h, L), buffer=extended,
+                         strides=extended.strides[:-1] + (2 * step, step))
+    # at most BLOCK windows at a time (a longer h is a multiple of BLOCK)
+    size = min(h, BLOCK)
+    window = np.empty(level.shape[:-1] + (size, L))
+    for k0 in range(0, h, size):
+        np.copyto(window, windows[..., k0:k0 + size, :])
+        np.matmul(window, filt.lowpass, out=level[..., k0:k0 + size])
+        np.matmul(window, filt.highpass, out=level[..., h + k0:h + k0 + size])
 
 
 @lru_cache(maxsize=64)
@@ -312,7 +328,7 @@ def _synthesis_stage(approx: np.ndarray, detail: np.ndarray, filt: WaveletFilter
     # they read the terms through their C-ordered buffer.  A long level
     # forms here only the first and the last half columns
     lowpass, highpass = filt.slabs
-    ends = slice(None) if h <= SYNTHESIS_BLOCK else np.r_[:half, h - half:h]
+    ends = slice(None) if h <= BLOCK else np.r_[:half, h - half:h]
     terms = np.multiply(lowpass, approx[:, ends], order="C")
     terms += highpass * detail[:, ends]
     # the two reductions below write every output
@@ -322,10 +338,10 @@ def _synthesis_stage(approx: np.ndarray, detail: np.ndarray, filt: WaveletFilter
     planes = out.transpose(2, 0, 1)
     # output k >= half - 1 adds terms[s, :, :, k - half + 1 + s] by
     # increasing s, which is increasing i; none of them wraps
-    for k0 in range(half - 1, h, SYNTHESIS_BLOCK):
-        k1 = min(k0 + SYNTHESIS_BLOCK, h)
+    for k0 in range(half - 1, h, BLOCK):
+        k1 = min(k0 + BLOCK, h)
         block = terms
-        if h > SYNTHESIS_BLOCK:
+        if h > BLOCK:
             columns = slice(k0 - half + 1, k1)
             block = np.multiply(lowpass, approx[:, columns], order="C")
             block += highpass * detail[:, columns]
@@ -348,17 +364,14 @@ def _synthesis_stage(approx: np.ndarray, detail: np.ndarray, filt: WaveletFilter
 def dwt(signal: np.ndarray, filt: WaveletFilter, coarse_level: int) -> WaveletCoefficients:
     """Forward periodic DWT of length-2^J signals down to ``coarse_level``,
     along the last axis of a ``(..., n)`` array."""
-    x = np.asarray(signal, dtype=float)
-    if x.ndim == 0:
+    out = np.asarray(signal, dtype=float).copy()
+    if out.ndim == 0:
         raise DimensionError("dwt expects signals along the last axis")
-    layout = coefficient_layout(x.shape[-1], coarse_level)
-    out = np.empty(x.shape)
-    approx = x
+    layout = coefficient_layout(out.shape[-1], coarse_level)
     size = layout.n
     while size > 1 << coarse_level:
-        approx, out[..., size // 2:size] = _analysis_stage(approx, filt)
+        _analysis_stage(out[..., :size], filt)
         size //= 2
-    out[..., :size] = approx
     return WaveletCoefficients(values=out, layout=layout)
 
 

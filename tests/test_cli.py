@@ -2,12 +2,13 @@ import dataclasses
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from wavegplm import cli
-from wavegplm.cli import _dump_json, _parse_bulk, _parse_lines, main, read_dataset
+from wavegplm.cli import _JSON_CHUNK, _dump_json, _parse_bulk, _parse_lines, main, read_dataset
 from wavegplm.errors import ConfigurationError, DimensionError
 from wavegplm.estimator import FitConfig
 
@@ -227,6 +228,7 @@ class TestJsonWriter:
         _assert_matches_oracle(document)
 
     def test_edge_values(self):
+        rng = np.random.default_rng(7)
         _assert_matches_oracle({
             "empty": [np.array([]), np.zeros((0, 3)), np.zeros((2, 0)), [], (), {}],
             "floats": np.array([-0.0, 1e-300, 1e16, 5e-324, 0.1, -1.5e308]),
@@ -240,7 +242,21 @@ class TestJsonWriter:
             "leaves": [None, True, False, 0, -12, 1e16, "plain"],
             "escaped \"key\"\n": "quote \" backslash \\ tab \t nul \x00 é \u2028 \U0001f600",
             "nested": {"config": FitConfig(), "b": [{"z": 1, "a": [2, [3.5]]}]},
+            # one value, and lengths on both sides of the writer's chunks
+            "lengths": [rng.standard_normal(size) * 10.0 ** rng.uniform(-300, 300, size)
+                        for size in (1, _JSON_CHUNK - 1, _JSON_CHUNK, _JSON_CHUNK + 1, 65536)],
         })
+
+    def test_long_array_peak_does_not_grow_with_its_length(self):
+        # the writer holds the strings of one chunk of _JSON_CHUNK values at a time
+        values = np.random.default_rng(8).standard_normal(65536)
+        tracemalloc.start()
+        try:
+            _dump_json(values, lambda text: None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_writes_file_and_stdout_alike(self, tmp_path, capsys):
         document = {"command": "fit", "f_hat": np.linspace(-1.0, 1.0, 9), "config": FitConfig()}
@@ -421,6 +437,14 @@ class TestCalibrateCommand:
         assert main(["calibrate", "--n", "64", "--reps", "2"] + argv) == 2
         assert calls == []
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_failed_sweep_names_its_first_failure(self, capsys):
+        # the CLI defaults drive every binomial m = 8 fit at n = 64 past the sup-norm bound
+        assert main(["calibrate", "--n", "64", "--reps", "2", "--sweep-m", "8"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: every fit failed at every threshold")
+        assert "the first was replication 0 at lambda " in err
+        assert "iterates exceeded sup-norm bound" in err
 
     @pytest.mark.parametrize("key, values", [("n", "32,64"), ("m", "8,24")],
                              ids=["n", "m"])

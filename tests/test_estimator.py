@@ -17,6 +17,7 @@ from wavegplm import (
     PenaltyConfig,
     RankError,
     WaveletCoefficients,
+    WaveletFilter,
     backfit,
     backfit_rows,
     coefficient_layout,
@@ -196,7 +197,7 @@ class TestThresholdVector:
             np.testing.assert_array_equal(thr, expected)
             np.testing.assert_array_equal(np.signbit(thr), np.signbit(expected))
         assert _synthesized_ones.cache_info().hits == 1
-        signal, base = _synthesized_ones(n, filt.name, j0)
+        signal, base = _synthesized_ones(n, filt.lowpass.tobytes(), j0)
         assert _synthesized_ones.cache_info()[:2] == (2, 1)  # hits, misses
         expected_base = np.abs(dwt(ones, filt, j0).values)
         expected_base[:1 << j0] = 0.0
@@ -204,6 +205,21 @@ class TestThresholdVector:
             assert not cached.flags.writeable
             np.testing.assert_array_equal(cached, reference)
             np.testing.assert_array_equal(np.signbit(cached), np.signbit(reference))
+
+    def test_directly_built_filter_uses_its_own_taps(self):
+        # under a name of its own, and under a supported name with other
+        # taps, a filter gets lambda |dwt(w * idwt(1))| from its own taps
+        n, j0 = 64, 2
+        taps = make_filter("daubechies-4").lowpass
+        w = np.exp(np.random.default_rng(3).standard_normal(n))
+        ones = WaveletCoefficients(values=np.ones(n), layout=coefficient_layout(n, j0))
+        for name in ("custom", "haar"):
+            filt = WaveletFilter(name=name, lowpass=taps, vanishing_moments=2)
+            expected = np.abs(dwt(w * idwt(ones, filt), filt, j0).values)
+            expected[:1 << j0] = 0.0
+            thr = per_coefficient_thresholds(1.0, w, filt, j0)
+            np.testing.assert_array_equal(thr, expected)
+            np.testing.assert_array_equal(np.signbit(thr), np.signbit(expected))
 
 
 def _gaussian_data(seed, n=64, p=2, sigma=1.0):

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -268,7 +269,10 @@ class TestCalibration:
         assert np.isnan(curve.mean_rmise[0])
         np.testing.assert_array_equal(curve.failures, [1, 0, 0])
         assert curve.argmin_lambda == grid[1]
-        with pytest.raises(FitError):
+        # when every fit fails, the error names the first failure
+        with pytest.raises(FitError, match=re.escape(
+                f"grid; the first was replication 0 at lambda {grid[0]:g}: "
+                "iterates exceeded sup-norm bound")):
             calibrate_threshold(cfg, grid[:1])
 
     def test_regression_exact_proportionality(self):

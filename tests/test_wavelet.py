@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from wavegplm import (
     make_filter,
     transform_matrix,
 )
-from wavegplm.wavelet import (PLAN_LEVEL, PLAN_OUTPUTS, SYNTHESIS_BLOCK, _synthesis_plan,
+from wavegplm.wavelet import (BLOCK, PLAN_LEVEL, PLAN_OUTPUTS, _synthesis_plan,
                               _synthesis_stage)
 
 
@@ -238,11 +240,28 @@ def test_kernels_match_add_at_reference_bit_for_bit(name):
 
 
 def test_kernels_match_add_at_reference_at_65536():
-    # the synthesis levels longer than SYNTHESIS_BLOCK go in blocks
-    assert 1 << 15 > SYNTHESIS_BLOCK
+    # the analysis and synthesis levels longer than BLOCK go in blocks
+    assert 1 << 15 > BLOCK
     for name in SUPPORTED_FILTERS:
         filt = make_filter(name)
         _assert_kernels_match_reference(filt, 1 << 16, 3, np.random.default_rng([16, len(filt)]))
+
+
+@pytest.mark.parametrize("name", SUPPORTED_FILTERS)
+def test_dwt_peak_does_not_grow_with_n_times_taps(name):
+    # one dwt at n = 65536 holds its output, which each level overwrites
+    # with its halves, the extended level and one block of BLOCK x L
+    # windows, not all n/2 windows of a level at once (4 MiB for symmlet-8)
+    n, filt = 1 << 16, make_filter(name)
+    x = np.random.default_rng(len(filt)).standard_normal(n)
+    dwt(x, filt, 3)
+    tracemalloc.start()
+    try:
+        dwt(x, filt, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (2 * n + BLOCK * len(filt)) * x.itemsize + (1 << 16)
 
 
 @pytest.mark.parametrize("rows", [(1,), (2,), (7,), (2, 3)], ids=str)
@@ -251,7 +270,8 @@ def test_stacked_rows_match_one_dimensional_calls_bit_for_bit(name, rows):
     # every row of a (..., n) transform equals the 1-d transform of that
     # row (which the add.at reference pins down), down to coarse level 0
     # and with a row of signed zeros among ordinary rows; up to n = 1024,
-    # whose last two synthesis levels are longer than PLAN_LEVEL
+    # whose last two synthesis levels are longer than PLAN_LEVEL, and the
+    # analysis at n = 32768
     assert 1 << 8 > PLAN_LEVEL
     filt = make_filter(name)
     rng = np.random.default_rng([len(filt), *rows])
@@ -271,6 +291,13 @@ def test_stacked_rows_match_one_dimensional_calls_bit_for_bit(name, rows):
                     _assert_bits_equal(
                         inverse[row],
                         idwt(WaveletCoefficients(values=values[row], layout=layout), filt))
+    # a level longer than BLOCK writes each block into outputs strided across rows
+    n = 1 << 15
+    assert n // 2 > BLOCK
+    signals = rng.standard_normal((*rows, n))
+    forward = dwt(signals, filt, 3).values
+    for row in np.ndindex(*rows):
+        _assert_bits_equal(forward[row], dwt(signals[row], filt, 3).values)
 
 
 @pytest.mark.parametrize("name", SUPPORTED_FILTERS)
