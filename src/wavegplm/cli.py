@@ -207,14 +207,15 @@ def _parse_bulk(text: str) -> np.ndarray | None:
 
 
 def read_dataset(path: str) -> Dataset:
-    """Delimited UTF-8 text with a header line 'y,x1,...,xp' (comma or whitespace).
+    """Delimited UTF-8 text with a header line 'y,x1,...,xp' (comma or whitespace),
+    after a byte-order mark if the file starts with one.
 
     The body is parsed in bulk; any file the bulk parser rejects goes
     through the line parser, which accepts what ``float`` accepts and
     names the file line of the first bad cell.
     """
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read dataset file {path!r}: {exc}") from exc
@@ -324,9 +325,7 @@ def _sweep(key: str, spec: str, ratio_grid: str, point) -> dict:
         curve = calibrate_threshold(cfg, ratios * scale)
         scales.append(scale)
         stars.append(curve.argmin_lambda)
-        curves.append({key: value, "lambdas": curve.lambdas,
-                       "mean_rmise": curve.mean_rmise, "failures": curve.failures,
-                       "argmin_lambda": curve.argmin_lambda})
+        curves.append({key: value, **dataclasses.asdict(curve)})
     c, r2 = calibration_regression(scales, stars)
     return {"sweep": key, "points": curves, "slope_c": c, "r_squared": r2}
 
@@ -348,9 +347,8 @@ def cmd_calibrate(args) -> int:
     else:
         if args.lambda_grid is None:
             raise ConfigurationError("calibrate needs --lambda-grid, --sweep-m or --sweep-n")
-        curve = calibrate_threshold(config, _parse_grid(args.lambda_grid))
-        document.update({"lambdas": curve.lambdas, "mean_rmise": curve.mean_rmise,
-                         "failures": curve.failures, "argmin_lambda": curve.argmin_lambda})
+        document.update(dataclasses.asdict(
+            calibrate_threshold(config, _parse_grid(args.lambda_grid))))
     _write_json(document, args.out)
     return 0
 

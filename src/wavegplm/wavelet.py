@@ -33,22 +33,21 @@ array, where the level's approximation and details replace the level.
 Synthesis starts every output x[p] at +0.0 and adds the terms
 h_l a_i + g_l d_i with (2i + l) mod m = p in increasing i, ties in
 increasing l: the order of an unbuffered scatter-add over that circular
-index, which the tests keep as the reference.  A stage with m/2 <=
-PLAN_LEVEL and at most PLAN_OUTPUTS outputs over all its rows, or with
-m < L, takes its terms through a cached gather plan that lists each
-output's L/2 input indices and taps in that order, and sums them with
-one ``np.add.reduce(..., axis=-2, initial=0.0)``.  Any other stage forms its
-L x m/2 terms with two broadcasting multiplies and sums them with two
-``np.add.reduce(..., axis=0, initial=0.0, out=...)`` calls over strided
-views that list each output's terms in that order, one for the outputs
-whose terms do not wrap around the level and one, over a small copy of
-the columns they need, for the first L/2 - 1 outputs of each parity;
-beyond BLOCK outputs it forms and sums the terms of the outputs that do
-not wrap one block of that many outputs at a time, so its temporaries
-keep one size whatever n is.  Both rely on numpy adding along a reduced
-axis that is not the fast one a term at a time into the result, with no
-pairwise regrouping (the ``numpy.sum`` docs keep pairwise summation to
-the fast axis), and on ``initial=0.0`` starting each output at +0.0.
+index, which the tests keep as the reference.  The outputs whose terms
+wrap around the level, the first min(m/2, L/2 - 1) of each parity, take
+their terms through a cached gather plan that lists each output's L/2
+input indices and taps in that order, and sum them with one
+``np.add.reduce(..., axis=-2, initial=0.0)``; so do all the outputs of a
+stage with m/2 <= PLAN_LEVEL and at most PLAN_OUTPUTS outputs over all
+its rows.  The other outputs get their L/2 terms each from two
+broadcasting multiplies and sum them with one ``np.add.reduce(...,
+axis=0, initial=0.0, out=...)`` over a strided view that lists each
+output's terms in that order, BLOCK outputs per parity at a time, so
+that their temporaries keep one size whatever n is.  Both rely on numpy
+adding along a reduced axis that is not the fast one a term at a time
+into the result, with no pairwise regrouping (the ``numpy.sum`` docs keep
+pairwise summation to the fast axis), and on ``initial=0.0`` starting
+each output at +0.0.
 No stage keeps state between calls.
 """
 
@@ -136,8 +135,8 @@ BLOCK = 8192
 
 #: synthesis stages with h <= PLAN_LEVEL outputs per parity and at most
 #: PLAN_OUTPUTS outputs over their rows gather faster (timed at 1 to 128
-#: rows); longer levels gave one-row n = 65536 fits no gain.  Levels with
-#: h < L/2 are always planned: the strided reductions need h >= L/2
+#: rows); longer levels gave one-row n = 65536 fits no gain.  Any other
+#: stage gathers only the outputs whose terms wrap around the level
 PLAN_LEVEL, PLAN_OUTPUTS = 128, 2048
 
 
@@ -293,17 +292,18 @@ def _analysis_stage(level: np.ndarray, filt: WaveletFilter) -> None:
         np.matmul(window, filt.highpass, out=level[..., h + k0:h + k0 + size])
 
 
-@lru_cache(maxsize=64)
-def _synthesis_plan(h: int, lowpass: bytes, highpass: bytes) -> tuple[np.ndarray, ...]:
-    """Read-only gather plan of a level of h outputs per parity for these taps (float64
-    bytes): column[t, p] is the input i of the t-th term (i, l), (2i + l) mod 2h = p, of
-    output p by increasing i, then l, and low and high hold its h_l and g_l."""
-    low, high = np.frombuffer(lowpass), np.frombuffer(highpass)
-    L, p, q = low.size, np.arange(2 * h), np.arange(low.size // 2)[:, None]
+@lru_cache(maxsize=256)
+def _synthesis_plan(h: int, outputs: int, lowpass: bytes) -> tuple[np.ndarray, ...]:
+    """Read-only gather plan of the first ``outputs`` outputs per parity of a level of h
+    outputs per parity, for the filter with these lowpass taps (float64 bytes):
+    column[t, p] is the input i of the t-th term (i, l), (2i + l) mod 2h = p, of output p
+    by increasing i, then l, and low and high hold its h_l and g_l."""
+    filt = WaveletFilter(name="", lowpass=np.frombuffer(lowpass), vanishing_moments=0)
+    L, p, q = len(filt), np.arange(2 * outputs), np.arange(len(filt) // 2)[:, None]
     # output p = 2k + r takes tap l = 2q + r from input i = (k - q) mod h;
     # its terms go in increasing order of the key i L + l
     column, tap = np.divmod(np.sort((p // 2 - q) % h * L + 2 * q + p % 2, axis=0), L)
-    plan = column, low[tap], high[tap]
+    plan = column, filt.lowpass[tap], filt.highpass[tap]
     for array in plan:
         array.flags.writeable = False
     return plan
@@ -312,53 +312,42 @@ def _synthesis_plan(h: int, lowpass: bytes, highpass: bytes) -> tuple[np.ndarray
 def _synthesis_stage(approx: np.ndarray, detail: np.ndarray, filt: WaveletFilter) -> np.ndarray:
     rows, h = approx.shape
     half = len(filt) // 2
-    if h <= PLAN_LEVEL and 2 * rows * h <= PLAN_OUTPUTS or h < half:
-        # terms[j, t, p]: h_l approx_ji + g_l detail_ji, the t-th term (i, l) of output p
-        column, low, high = _synthesis_plan(h, filt.lowpass.tobytes(), filt.highpass.tobytes())
-        terms = approx.take(column, axis=-1)
-        terms *= low
-        products = detail.take(column, axis=-1)
-        products *= high
-        terms += products
+    # a small stage plans all its outputs; any other plans those whose terms
+    # wrap around the level, the first min(h, half - 1) of each parity
+    small = h <= PLAN_LEVEL and 2 * rows * h <= PLAN_OUTPUTS
+    planned = h if small else min(h, half - 1)
+    # terms[j, t, p]: h_l approx_ji + g_l detail_ji, the t-th term (i, l) of output p
+    column, low, high = _synthesis_plan(h, planned, filt.lowpass.tobytes())
+    terms = approx.take(column, axis=-1)
+    terms *= low
+    products = detail.take(column, axis=-1)
+    products *= high
+    terms += products
+    if small:
         return np.add.reduce(terms, axis=-2, initial=0.0)
-    # terms[s, r, j, i] = h_l approx_ji + g_l detail_ji with l = 2q + r and
-    # q = half - 1 - s lands on x_j[2k + r] for k = (i + q) mod h; slabs run
-    # by decreasing q, so that in the views below the summed axis s steps
-    # forward through memory and stays the outer loop of each reduction;
-    # they read the terms through their C-ordered buffer.  A long level
-    # forms here only the first and the last half columns
+    out = np.empty((rows, 2 * h))
+    np.add.reduce(terms, axis=-2, initial=0.0, out=out[:, :2 * planned])
+    # block[s, r, j, c] = h_l approx_ji + g_l detail_ji with l = 2q + r,
+    # q = half - 1 - s and i = k0 - half + 1 + c lands on x_j[2k + r] for
+    # k = i + q; slabs run by decreasing q, so that in the view below the
+    # summed axis s steps forward through memory and stays the outer loop of
+    # the reduction, which reads the terms through their C-ordered buffer.
+    # Output k >= half - 1 adds block[s, :, :, k - k0 + s] by increasing s,
+    # which is increasing i; none of them wraps
     lowpass, highpass = filt.slabs
-    ends = slice(None) if h <= BLOCK else np.r_[:half, h - half:h]
-    terms = np.multiply(lowpass, approx[:, ends], order="C")
-    terms += highpass * detail[:, ends]
-    # the two reductions below write every output
-    out = np.empty((rows, h, 2))
     # planes[r, j, k] is x_j[2k + r]; its inner axis k keeps the inner loop
     # of each reduction long
-    planes = out.transpose(2, 0, 1)
-    # output k >= half - 1 adds terms[s, :, :, k - half + 1 + s] by
-    # increasing s, which is increasing i; none of them wraps
-    for k0 in range(half - 1, h, BLOCK):
+    planes = out.reshape(rows, h, 2).transpose(2, 0, 1)
+    for k0 in range(planned, h, BLOCK):
         k1 = min(k0 + BLOCK, h)
-        block = terms
-        if h > BLOCK:
-            columns = slice(k0 - half + 1, k1)
-            block = np.multiply(lowpass, approx[:, columns], order="C")
-            block += highpass * detail[:, columns]
+        columns = slice(k0 - half + 1, k1)
+        block = np.multiply(lowpass, approx[:, columns], order="C")
+        block += highpass * detail[:, columns]
         s0, s1, s2, s3 = block.strides
         np.add.reduce(np.ndarray((half, 2, rows, k1 - k0), buffer=block,
                                  strides=(s0 + s3, s1, s2, s3)),
                       axis=0, initial=0.0, out=planes[:, :, k0:k1])
-    # output k < half - 1 adds, by increasing i, the columns i = 0..k (slab
-    # s = half - 1 - k + i) and then the wrapped columns i = h - half + c,
-    # c = k + 1..half - 1 (slab c - k - 1): after the first columns of every
-    # slab, head holds the last columns of the slabs with q >= 1
-    head = np.concatenate((terms[:, :, :, :half], terms[:half - 1, :, :, -half:]))
-    s0, s1, s2, s3 = head.strides
-    np.add.reduce(np.ndarray((half, 2, rows, half - 1), buffer=head,
-                             offset=(half - 1) * s0, strides=(s0 + s3, s1, s2, -s0)),
-                  axis=0, initial=0.0, out=planes[:, :, :half - 1])
-    return out.reshape(rows, 2 * h)
+    return out
 
 
 def dwt(signal: np.ndarray, filt: WaveletFilter, coarse_level: int) -> WaveletCoefficients:

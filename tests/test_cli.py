@@ -86,6 +86,29 @@ class TestReadDataset:
         np.testing.assert_array_equal(data.y, [1.0, 3.0])
         np.testing.assert_array_equal(data.X, [[2.0], [4.0]])
 
+    def test_byte_order_mark_gives_the_same_report(self, tmp_path):
+        # a UTF-8 file may start with a byte-order mark; the fit of the same
+        # file at the same path writes the same report bytes with or without it
+        path = tmp_path / "d.csv"
+        _write_gaussian_dataset(path)
+        text = path.read_bytes()
+        reports = []
+        for body in (text, b"\xef\xbb\xbf" + text):
+            path.write_bytes(body)
+            out = tmp_path / f"fit{len(reports)}.json"
+            assert main(["fit", str(path), "--out", str(out)]) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+
+    def test_byte_order_mark_keeps_line_numbers(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbfy,x1\n1,2\n3,abc\n")
+        with pytest.raises(ConfigurationError, match="line 3:"):
+            read_dataset(str(path))
+        path.write_bytes(b"\xef\xbb\xbf\ny,x1\n1,2\n3\n")
+        with pytest.raises(ConfigurationError, match="line 4:"):
+            read_dataset(str(path))
+
 
 # (file text, whether the bulk parser vouches for it); every other file
 # goes through the line parser

@@ -270,8 +270,8 @@ def test_stacked_rows_match_one_dimensional_calls_bit_for_bit(name, rows):
     # every row of a (..., n) transform equals the 1-d transform of that
     # row (which the add.at reference pins down), down to coarse level 0
     # and with a row of signed zeros among ordinary rows; up to n = 1024,
-    # whose last two synthesis levels are longer than PLAN_LEVEL, and the
-    # analysis at n = 32768
+    # whose last two synthesis levels are longer than PLAN_LEVEL, and both
+    # transforms at n = 32768
     assert 1 << 8 > PLAN_LEVEL
     filt = make_filter(name)
     rng = np.random.default_rng([len(filt), *rows])
@@ -294,26 +294,34 @@ def test_stacked_rows_match_one_dimensional_calls_bit_for_bit(name, rows):
     # a level longer than BLOCK writes each block into outputs strided across rows
     n = 1 << 15
     assert n // 2 > BLOCK
-    signals = rng.standard_normal((*rows, n))
+    layout = coefficient_layout(n, 3)
+    signals, values = rng.standard_normal((2, *rows, n))
     forward = dwt(signals, filt, 3).values
+    inverse = idwt(WaveletCoefficients(values=values, layout=layout), filt)
     for row in np.ndindex(*rows):
         _assert_bits_equal(forward[row], dwt(signals[row], filt, 3).values)
+        _assert_bits_equal(inverse[row],
+                           idwt(WaveletCoefficients(values=values[row], layout=layout), filt))
 
 
 @pytest.mark.parametrize("name", SUPPORTED_FILTERS)
 def test_synthesis_plans_list_each_outputs_terms_in_reference_order(name):
     # output p of a level of h outputs per parity adds the terms (i, l) with
     # (2i + l) mod 2h = p in increasing order: the order in which np.add.at
-    # visits them, collected here by walking every pair in that order
+    # visits them, collected here by walking every pair in that order.  A
+    # small stage plans all its outputs, a longer one only the L/2 - 1 per
+    # parity whose terms wrap around the level
     filt = make_filter(name)
     L = len(filt)
-    for h in (1 << J for J in range(PLAN_LEVEL.bit_length())):
+    levels = [(1 << J, 1 << J) for J in range(PLAN_LEVEL.bit_length())]
+    levels += [(h, L // 2 - 1) for h in (256, BLOCK, 4 * BLOCK)]
+    for h, outputs in levels:
         terms = [[] for _ in range(2 * h)]
         for i in range(h):
             for l in range(L):
                 terms[(2 * i + l) % (2 * h)].append((i, l))
-        i, l = np.array(terms).transpose(2, 1, 0)
-        column, low, high = _synthesis_plan(h, filt.lowpass.tobytes(), filt.highpass.tobytes())
+        i, l = np.array(terms[:2 * outputs], dtype=int).reshape(2 * outputs, L // 2, 2).T
+        column, low, high = _synthesis_plan(h, outputs, filt.lowpass.tobytes())
         np.testing.assert_array_equal(column, i)
         _assert_bits_equal(low, filt.lowpass[l])
         _assert_bits_equal(high, filt.highpass[l])
@@ -324,8 +332,9 @@ def test_synthesis_plans_list_each_outputs_terms_in_reference_order(name):
 @pytest.mark.parametrize("name", SUPPORTED_FILTERS)
 def test_synthesis_stage_matches_add_at_reference_on_both_sides_of_plan_outputs(name):
     # a stage of at most PLAN_OUTPUTS outputs over its rows sums through a
-    # gather plan and a larger one through the strided reductions: at every
-    # level from h = L/2 to PLAN_LEVEL, rows that just fit and one row more
+    # gather plan, and a larger one only its wrapped outputs, the others
+    # through the strided reduction: at every level from h = L/2 to
+    # PLAN_LEVEL, rows that just fit and one row more
     filt = make_filter(name)
     rng = np.random.default_rng([len(filt), PLAN_OUTPUTS])
     h = len(filt) // 2
