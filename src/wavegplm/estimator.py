@@ -21,17 +21,17 @@ X beta + f_new for the linear step and at X beta_new + f_new for the
 criterion.  Scaling coefficients are never penalized; the penalty acts on
 detail (wavelet) coefficients only.
 
-Lockstep: :func:`backfit_rows` runs one outer-iteration loop over a stack
-of R fits that share X, the family and the config, each row with its own
-y and threshold level; the steps, the criterion and the transforms work
-row by row on ``(R, n)`` arrays.  Rows that converge, reach kappa or fail
-leave the active set, and every row returns the bits a fit on its own
-returns: products go through the same BLAS calls per row (stacked
-``@`` and ``np.linalg.solve``, never ``einsum``) and sums run along the
-last axis.  An iteration that some row fails (non-finite eta, a singular
-solve, the sup-norm bound, a non-finite criterion) is redone one row at
-a time, so each row fails alone with its own message.  :func:`backfit`
-is the one-row call of that loop.
+Lockstep: :func:`backfit_rows` runs one outer-iteration loop over a stack of R
+fits that share X, the family and the config, each row with its own y and
+threshold level; the steps, the criterion and the transforms work row by row
+on ``(R, n)`` arrays, and the K_n trace and the criterion-decrease counters
+are tables indexed by row id.  Rows that converge, reach kappa or fail leave
+the active set, and every row returns the bits a fit on its own returns:
+products go through the same BLAS calls per row (stacked ``@`` and
+``np.linalg.solve``, never ``einsum``) and sums run along the last axis.  An
+iteration that some row fails (non-finite eta, a singular solve, the sup-norm
+bound, a non-finite criterion) is redone one row at a time, so each row fails
+alone with its own message.  :func:`backfit` is the one-row call of that loop.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ import numpy as np
 from .errors import (
     ConfigurationError,
     DimensionError,
+    DomainError,
     FitDivergenceError,
     FitError,
     NumericError,
@@ -405,7 +406,7 @@ def _row_norms(v: np.ndarray) -> np.ndarray:
 
 @dataclass
 class _Active:
-    """The rows of a lockstep backfit that still iterate, and their state."""
+    """The rows of a lockstep backfit that still iterate: what the next iteration reads."""
 
     ids: np.ndarray          # row numbers in the caller's stack
     rows: Dataset
@@ -413,20 +414,15 @@ class _Active:
     beta: np.ndarray
     f: np.ndarray
     theta: WaveletCoefficients | None
-    trace: np.ndarray        # K_n after each outer iteration, kappa columns
-    decreasing: np.ndarray   # consecutive criterion decreases
     x_beta: np.ndarray | None = None  # X beta, once an iteration has formed it
     at: Evaluation | None = None      # the family at X beta + f, likewise
 
-    def take(self, keep, columns: int) -> "_Active":
-        """The rows that ``keep`` selects, with the first ``columns`` of the trace."""
-        trace = np.empty((self.ids[keep].size, self.trace.shape[1]))
-        trace[:, :columns] = self.trace[keep, :columns]
+    def take(self, keep) -> "_Active":
+        """The rows that ``keep`` selects."""
         theta = None if self.theta is None else WaveletCoefficients(
             values=self.theta.values[keep], layout=self.theta.layout)
         return _Active(self.ids[keep], Dataset(y=self.rows.y[keep], X=self.rows.X),
-                       self.lam[keep], self.beta[keep], self.f[keep], theta, trace,
-                       self.decreasing[keep],
+                       self.lam[keep], self.beta[keep], self.f[keep], theta,
                        None if self.x_beta is None else self.x_beta[keep],
                        None if self.at is None else self.at.rows(keep))
 
@@ -454,13 +450,6 @@ class _Active:
             raise FitError(f"outer iteration {k + 1}: non-finite criterion")
         return theta, f, beta, crit, x_beta, at
 
-    def error(self, family, config, filt, k) -> FitError | None:
-        try:
-            self.iterate(family, config, filt, k)
-        except FitError as exc:
-            return exc
-        return None
-
 
 def backfit_rows(data: Dataset, family: Family, config: FitConfig,
                  lams=None) -> list[GplmFit | FitError]:
@@ -475,10 +464,17 @@ def backfit_rows(data: Dataset, family: Family, config: FitConfig,
     alone; those that fail it drop out and the others redo it together.
     A :class:`NumericError` from the criterion (a non-finite eta that the
     sup-norm check lets through) ends the call, as it ends :func:`backfit`.
+    A Poisson response below 0 or a binomial response outside [0, 1] is a
+    :class:`DomainError` before the first iteration.
     """
     n, X = data.n, data.X
     y = data.y.reshape(-1, n)
     count = y.shape[0]
+    high = {"binomial": 1.0, "poisson": math.inf}.get(family.kind)
+    bad = () if high is None else np.argwhere((data.y < 0) | (data.y > high))  # NaN passes
+    if len(bad):
+        raise DomainError(f"{family.kind} response {data.y[tuple(bad[0])]:g} at index "
+                          f"{', '.join(map(str, bad[0]))} lies outside [0, {high:g}]")
     filt = make_filter(config.filter_name)
     if lams is None:
         lam = np.full(count, config.penalty.resolve_lambda(family, n))
@@ -494,28 +490,29 @@ def backfit_rows(data: Dataset, family: Family, config: FitConfig,
         theta = dwt(f, filt, config.penalty.resolve_coarse_level(n))
     else:
         f, beta = initialize(rows, family)
-    active = _Active(np.arange(count), rows, lam, beta, f, theta,
-                     np.empty((count, config.kappa)), np.zeros(count, dtype=int))
+    active = _Active(np.arange(count), rows, lam, beta, f, theta)
+    trace = np.empty((count, config.kappa))       # K_n after each outer iteration, by row id
+    decreasing = np.zeros(count, dtype=int)       # consecutive criterion decreases, by row id
     results: list = [None] * count
     for k in range(config.kappa):
         try:
             theta, f, beta, crit, x_beta, at = active.iterate(family, config, filt, k)
-        except FitError as exc:
-            errors = [exc] if active.ids.size == 1 else [
-                active.take(slice(i, i + 1), 0).error(family, config, filt, k)
-                for i in range(active.ids.size)]
-            failed = np.array([error is not None for error in errors])
-            for i in np.flatnonzero(failed):
-                results[active.ids[i]] = errors[i]
+        except FitError:
+            failed = np.zeros(active.ids.size, dtype=bool)
+            for i, row in enumerate(active.ids):
+                try:
+                    active.take(slice(i, i + 1)).iterate(family, config, filt, k)
+                except FitError as row_exc:
+                    results[row], failed[i] = row_exc, True
             if failed.all():
                 break
-            active = active.take(~failed, k)
+            active = active.take(~failed)
             theta, f, beta, crit, x_beta, at = active.iterate(family, config, filt, k)
-        trace = active.trace
+        ids = active.ids
         if k:
-            active.decreasing = np.where(crit < trace[:, k - 1], active.decreasing + 1, 0)
-        trace[:, k] = crit
-        gave_up = active.decreasing >= DIVERGENCE_PATIENCE
+            decreasing[ids] = np.where(crit < trace[ids, k - 1], decreasing[ids] + 1, 0)
+        trace[ids, k] = crit
+        gave_up = decreasing[ids] >= DIVERGENCE_PATIENCE
         converged = _row_norms(beta - active.beta) <= config.delta * _row_norms(active.beta)
         active.theta, active.f, active.beta = theta, f, beta
         active.x_beta, active.at = x_beta, at
@@ -523,18 +520,18 @@ def backfit_rows(data: Dataset, family: Family, config: FitConfig,
         if not done.any():
             continue
         for i in np.flatnonzero(done):
-            results[active.ids[i]] = FitDivergenceError(
+            results[ids[i]] = FitDivergenceError(
                 f"criterion decreased over {DIVERGENCE_PATIENCE} consecutive "
                 f"iterations (outer iteration {k + 1})"
             ) if gave_up[i] else GplmFit(
                 beta=beta[i], f_hat=f[i], iterations=k + 1, converged=bool(converged[i]),
                 final_loglik=family.loglik(active.rows.y[i], X @ beta[i] + f[i]),
-                criterion=float(trace[i, k]), lam=float(active.lam[i]),
-                trace=trace[i, :k + 1].copy(),
+                criterion=float(crit[i]), lam=float(active.lam[i]),
+                trace=trace[ids[i], :k + 1].copy(),
             )
         if done.all():
             break
-        active = active.take(~done, k + 1)
+        active = active.take(~done)
     return results
 
 

@@ -6,13 +6,14 @@ Seeding contract: the covariate design is drawn from the stream
 ``default_rng([seed, r + 1])``, so each replication's draws depend only on
 the master seed and its own index.
 
-Monte Carlo runs and threshold sweeps fit their replications in lockstep
-(:func:`wavegplm.estimator.backfit_rows`): a sweep draws each
-replication's y once and fits it at every threshold level of the grid.
-Rows go in blocks of at most LOCKSTEP_ELEMENTS = 2^15 response values
-R * n, where the cost per row of an iteration stops falling (measured at
-n = 64, 256 and 1024); at n >= 32768 a block is one row, so a large-n
-run holds one response vector at a time, as a one-fit-at-a-time loop does.
+Monte Carlo runs and threshold sweeps share one collector,
+``_fit_replications``, which draws each replication's y once, fits it at every
+threshold level in lockstep (:func:`wavegplm.estimator.backfit_rows`) and
+fills (level, replication) tables.  Rows go in blocks of at most
+LOCKSTEP_ELEMENTS = 2^15 response values R * n, where the cost per row of an
+iteration stops falling (measured at n = 64, 256 and 1024); at n >= 32768 a
+block is one row, so a large-n run holds one response vector at a time, as a
+one-fit-at-a-time loop does.
 """
 
 from __future__ import annotations
@@ -239,10 +240,34 @@ def _design(config: SimulationConfig, family: Family):
     return X, f0, snr_f, snr_b, X @ beta0 + f0
 
 
-def _fit_replications(config: SimulationConfig, family: Family, X, eta0, lams):
-    """Fit every replication at every level of ``lams`` in lockstep blocks of
-    at most LOCKSTEP_ELEMENTS response values, replication-major; each
-    replication's y is drawn once.  Yields (r, level index, fit or FitError)."""
+@dataclass(frozen=True)
+class _Replications:
+    """(level, replication) tables of every replication's fit at every level;
+    a failed fit holds NaN betas and rmises and an iteration count of 0."""
+
+    betas: np.ndarray          # (levels, R, p)
+    rmises: np.ndarray         # (levels, R)
+    iteration_counts: np.ndarray  # (levels, R)
+    example_f_hat: np.ndarray  # the first returned f_hat, replication-major
+    first_failure: str | None  # description of the first failed fit
+    f0: np.ndarray
+    snr_f: float
+    snr_beta: float
+
+
+def _fit_replications(config: SimulationConfig, lams=None) -> _Replications:
+    """Draw the design once and fit every replication at every level of
+    ``lams`` (by default the level ``config.fit`` resolves to) in lockstep
+    blocks of at most LOCKSTEP_ELEMENTS response values, replication-major;
+    each replication's y is drawn once.  Fit failures never abort the run."""
+    family = config.family()
+    X, f0, snr_f, snr_b, eta0 = _design(config, family)
+    if lams is None:
+        lams = [config.fit.penalty.resolve_lambda(family, config.n)]
+    shape = (len(lams), config.replications)
+    betas, rmises = np.full(shape + (config.p,), np.nan), np.full(shape, np.nan)
+    iterations = np.zeros(shape, dtype=int)
+    example_f_hat, first_failure = np.full(config.n, np.nan), None
     pairs = [(r, g) for r in range(config.replications) for g in range(len(lams))]
     block = max(1, LOCKSTEP_ELEMENTS // config.n)
     drawn, y = -1, None
@@ -255,47 +280,32 @@ def _fit_replications(config: SimulationConfig, family: Family, X, eta0, lams):
             ys.append(y)
         fits = backfit_rows(Dataset(y=np.array(ys), X=X), family, config.fit,
                             [lams[g] for _, g in chunk])
-        yield from ((r, g, fit) for (r, g), fit in zip(chunk, fits))
+        for (r, g), fit in zip(chunk, fits):
+            if isinstance(fit, FitError):
+                first_failure = first_failure or f"replication {r} at lambda {lams[g]:g}: {fit}"
+                continue
+            if not iterations.any():
+                example_f_hat = fit.f_hat
+            betas[g, r], rmises[g, r], iterations[g, r] = (fit.beta, rmise(fit.f_hat, f0),
+                                                           fit.iterations)
+    return _Replications(betas, rmises, iterations, example_f_hat, first_failure, f0, snr_f,
+                         snr_b)
 
 
 def run_monte_carlo(config: SimulationConfig) -> SimulationReport:
     """Draw the design once, then fit ``replications`` seeded datasets in
-    lockstep blocks.
+    lockstep blocks: the one-level view of :func:`_fit_replications`.
 
     Fit failures (divergence, singular weights) are recorded per
     replication and never abort the run.
     """
-    family = config.family()
-    X, f0, snr_f, snr_b, eta0 = _design(config, family)
-    betas = np.full((config.replications, config.p), np.nan)
-    rmises = np.full(config.replications, np.nan)
-    iters = np.zeros(config.replications, dtype=int)
-    failures = 0
-    example_f_hat = np.full(config.n, np.nan)
     started = time.perf_counter()
-    lam = config.fit.penalty.resolve_lambda(family, config.n)
-    for r, _, fit in _fit_replications(config, family, X, eta0, [lam]):
-        if isinstance(fit, FitError):
-            failures += 1
-            continue
-        betas[r] = fit.beta
-        rmises[r] = rmise(fit.f_hat, f0)
-        iters[r] = fit.iterations
-        if np.isnan(example_f_hat).all():
-            example_f_hat = fit.f_hat
-    elapsed = time.perf_counter() - started
+    fits = _fit_replications(config)
+    counts = fits.iteration_counts[0]
     return SimulationReport(
-        config=config,
-        betas=betas,
-        rmises=rmises,
-        iteration_counts=iters,
-        failures=failures,
-        snr_f=snr_f,
-        snr_beta=snr_b,
-        f0=f0,
-        example_f_hat=example_f_hat,
-        wall_time_s=elapsed,
-    )
+        config=config, betas=fits.betas[0], rmises=fits.rmises[0], iteration_counts=counts,
+        failures=int((counts == 0).sum()), snr_f=fits.snr_f, snr_beta=fits.snr_beta,
+        f0=fits.f0, example_f_hat=fits.example_f_hat, wall_time_s=time.perf_counter() - started)
 
 
 @dataclass(frozen=True)
@@ -310,30 +320,22 @@ class ThresholdCurve:
 
 def calibrate_threshold(config: SimulationConfig, lambda_grid) -> ThresholdCurve:
     """Sweep fixed threshold levels over shared-seed Monte Carlo runs: every
-    replication, drawn once, is fitted at every level in lockstep.  The
-    argmin skips grid points where every fit failed (FitError if all did)."""
+    replication, drawn once, is fitted at every level in lockstep: the grid
+    view of :func:`_fit_replications`.  The argmin skips grid points where
+    every fit failed (FitError if all did)."""
     lam_grid = np.asarray(lambda_grid, dtype=float)
     if lam_grid.size == 0:
         raise ConfigurationError("threshold grid must be nonempty")
     if lam_grid.size > 1 and not np.all(np.diff(lam_grid) > 0):
         raise ConfigurationError("threshold grid must be strictly increasing")
-    family = config.family()
-    X, f0, _, _, eta0 = _design(config, family)
-    rmises = np.full((lam_grid.size, config.replications), np.nan)
-    failures = np.zeros(lam_grid.size, dtype=int)
-    first_failure = None
-    for r, g, fit in _fit_replications(config, family, X, eta0, lam_grid):
-        if isinstance(fit, FitError):
-            failures[g] += 1
-            first_failure = first_failure or f"replication {r} at lambda {lam_grid[g]:g}: {fit}"
-        else:
-            rmises[g, r] = rmise(fit.f_hat, f0)
+    fits = _fit_replications(config, lam_grid)
+    failures = (fits.iteration_counts == 0).sum(axis=1)
     # the mean over the fits that returned, as SimulationReport.mean_rmise
     curve = np.array([np.nanmean(row) if failed < row.size else math.nan
-                      for row, failed in zip(rmises, failures)])
+                      for row, failed in zip(fits.rmises, failures)])
     if np.isnan(curve).all():
         raise FitError("every fit failed at every threshold of the grid; the first was "
-                       + first_failure)
+                       + fits.first_failure)
     argmin = float(lam_grid[int(np.nanargmin(curve))])
     return ThresholdCurve(lambdas=lam_grid, mean_rmise=curve, failures=failures,
                           argmin_lambda=argmin)

@@ -361,6 +361,20 @@ class TestFitCommand:
         assert main(["fit", str(data_path), f"--phi={phi}"]) == 2
         assert "phi must be finite and nonnegative" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("family, value", [(["--family", "poisson"], "-4"),
+                                               (["--family", "binomial", "--m", "4"], "3.0")])
+    def test_out_of_support_response_exit_2(self, tmp_path, capsys, family, value):
+        path = tmp_path / "d.csv"
+        _write_gaussian_dataset(path)
+        lines = path.read_text().splitlines()
+        lines[1:] = [value + line[line.index(","):] if i == 5 else "1" + line[line.index(","):]
+                     for i, line in enumerate(lines[1:])]
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["fit", str(path), *family]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {family[1]} response {float(value):g} at index 5 lies outside "
+            f"[0, {'inf' if family[1] == 'poisson' else 1}]\n")
+
     def test_zero_phi_fits_without_threshold(self, tmp_path):
         data_path = tmp_path / "d.csv"
         _write_gaussian_dataset(data_path)

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +9,7 @@ from wavegplm import (
     ConfigurationError,
     Dataset,
     DimensionError,
+    DomainError,
     FitConfig,
     FitDivergenceError,
     FitError,
@@ -755,3 +757,35 @@ def test_lockstep_loop_fails_where_public_steps_fail():
     assert isinstance(fits[0], GplmFit)
     assert [str(fit) for fit in fits[1:]] == [
         f"iterates exceeded sup-norm bound 1e+06 (outer iteration {k})" for k in (14, 84)]
+
+
+@pytest.mark.parametrize("frozen", [False, True])
+@pytest.mark.parametrize("kind, value", [("poisson", -4.0), ("binomial", 3.0),
+                                         ("binomial", -0.25)])
+def test_out_of_support_response_is_a_domain_error(kind, value, frozen):
+    # checked before the first iteration, also when f stays frozen at zero
+    n = 64
+    rng = np.random.default_rng(0)
+    family = make_family(kind, m=4)
+    X = rng.standard_normal((n, 1))
+    y = family.sample(X[:, 0], rng)
+    y[17] = value
+    config = FitConfig(kappa=5, freeze_f_at_zero=frozen)
+    with pytest.raises(DomainError, match=re.escape(
+            f"{kind} response {value:g} at index 17 lies outside [0, ")):
+        backfit(Dataset(y=y, X=X), family, config)
+    stack = np.array([family.sample(X[:, 0], rng), y])
+    with pytest.raises(DomainError, match="at index 1, 17 lies"):
+        backfit_rows(Dataset(y=stack, X=X), family, config)
+
+
+@pytest.mark.parametrize("kind", ["poisson", "binomial"])
+def test_support_ends_fit(kind):
+    n = 64
+    rng = np.random.default_rng(1)
+    family = make_family(kind, m=4)
+    X = rng.standard_normal((n, 1))
+    y = family.sample(X[:, 0], rng)
+    y[:3] = [0.0, 1.0, 0.0]
+    fit = backfit(Dataset(y=y, X=X), family, FitConfig(kappa=5))
+    assert fit.iterations == 5

@@ -23,6 +23,7 @@ from wavegplm import (
     run_monte_carlo,
     snr,
 )
+from wavegplm import simulate
 from wavegplm import test_function as benchmark_function
 from wavegplm.simulate import design_rng, replication_rng
 
@@ -299,3 +300,32 @@ def test_shared_seed_sweep_reuses_datasets():
     a = calibrate_threshold(cfg, grid)
     b = calibrate_threshold(cfg, grid)
     np.testing.assert_array_equal(a.mean_rmise, b.mean_rmise)
+
+
+def _bits(a):
+    a = np.asarray(a)
+    return a.shape, a.tobytes()
+
+
+@pytest.mark.parametrize("rows", [1, 2, 5])
+def test_results_do_not_depend_on_the_lockstep_block(monkeypatch, rows):
+    # Poisson seed 5: replication 5 fails at 1.2 and 1.6 sqrt(log n), so
+    # blocks of 1, 2 and 5 rows split a replication's grid and hold a
+    # failure in a later block; the default block holds all 21 fits
+    n = 256
+    grid = np.array([1.2, 1.6, 2.0]) * math.sqrt(math.log(n))
+    cfg = SimulationConfig(family_kind="poisson", function="sinus", n=n, target_snr_f=1.5,
+                           replications=7, seed=5, fit=FitConfig(kappa=120))
+    mc_cfg = replace(cfg, fit=replace(cfg.fit, penalty=PenaltyConfig(lam=grid[0])))
+    runs = [(calibrate_threshold(cfg, grid), run_monte_carlo(mc_cfg))]
+    monkeypatch.setattr(simulate, "LOCKSTEP_ELEMENTS", rows * n)
+    runs.append((calibrate_threshold(cfg, grid), run_monte_carlo(mc_cfg)))
+    (curve, report), (block_curve, block_report) = runs
+    np.testing.assert_array_equal(curve.failures, [1, 1, 0])
+    assert report.failures == 1 and report.iteration_counts[5] == 0
+    assert _bits(block_curve.mean_rmise) == _bits(curve.mean_rmise)
+    assert _bits(block_curve.failures) == _bits(curve.failures)
+    assert block_curve.argmin_lambda == curve.argmin_lambda
+    for name in ("betas", "rmises", "iteration_counts", "example_f_hat"):
+        assert _bits(getattr(block_report, name)) == _bits(getattr(report, name)), name
+    assert block_report.failures == report.failures
