@@ -17,7 +17,6 @@ import dataclasses
 import io
 import json
 import math
-import re
 import sys
 
 import numpy as np
@@ -41,7 +40,9 @@ _NUMERIC_EXIT = 3
 #: values per chunk of a long float array the JSON writer joins at once
 _JSON_CHUNK = 8192
 
-_NON_BLANK = re.compile(r"\S")
+#: bytes per read of the scan for the separators that bar the bulk parser
+_SCAN_CHUNK = 1 << 16
+_SEPARATORS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
 def _dump_json(obj, write, pad: str = "\n"):
@@ -180,27 +181,37 @@ def _parse_lines(text: str, path: str) -> np.ndarray:
     return data
 
 
-def _parse_bulk(text: str) -> np.ndarray | None:
-    """The table :func:`_parse_lines` would return, parsed in one C-level
-    call, or None wherever that call cannot vouch for it (bad header, no
-    rows, a cell it rejects, ragged rows, a non-finite value)."""
-    start, end = 0, text.find("\n")
-    while end >= 0 and not text[start:end].strip():
-        start, end = end + 1, text.find("\n", end + 1)
-    # numpy strips the separators \x1c-\x1f from a cell, as str.strip does; float does not
-    if (end < 0 or _NON_BLANK.search(text, end + 1) is None
-            or any(text.find(sep, end + 1) >= 0 for sep in "\x1c\x1d\x1e\x1f")):
-        return None
-    delim, header = _header(text[start:end].strip())
-    if header[0] != "y":
-        return None
-    try:
-        # a UTF-8 byte stream holds ASCII text at one byte a character, io.StringIO at four
-        body = io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8")
-        data = np.loadtxt(body, delimiter=delim, comments=None, ndmin=2,
-                          skiprows=text.count("\n", 0, end + 1))
-    except ValueError:
-        return None
+def _parse_bulk(path: str) -> np.ndarray | None:
+    """The table :func:`_parse_lines` would return for the file at ``path``,
+    parsed in one C-level call from the open file, never holding its whole
+    text, or None wherever that call cannot vouch for it (a separator
+    \\x1c-\\x1f, bad header, no rows, a cell it rejects, a byte that is not
+    UTF-8, ragged rows, a non-finite value)."""
+    with open(path, "rb") as raw:
+        # numpy strips the separators from a cell, as str.strip does; float does not
+        for chunk in iter(lambda: raw.read(_SCAN_CHUNK), b""):
+            if any(sep in chunk for sep in _SEPARATORS):
+                return None
+        raw.seek(0)
+        with io.TextIOWrapper(raw, encoding="utf-8-sig") as handle:
+            try:
+                head = handle.readline()
+                while head and not head.strip():
+                    head = handle.readline()
+                if not head.endswith("\n"):
+                    return None
+                delim, header = _header(head.strip())
+                body = handle.tell()
+                line = handle.readline()
+                while line and not line.strip():
+                    line = handle.readline()
+                if header[0] != "y" or not line:  # loadtxt warns on a body with no rows
+                    return None
+                handle.seek(body)
+                # a byte that is not UTF-8 raises UnicodeDecodeError, a ValueError
+                data = np.loadtxt(handle, delimiter=delim, comments=None, ndmin=2)
+            except ValueError:
+                return None
     if data.shape[1] != len(header) or not np.isfinite(data).all():
         return None
     return data
@@ -210,16 +221,18 @@ def read_dataset(path: str) -> Dataset:
     """Delimited UTF-8 text with a header line 'y,x1,...,xp' (comma or whitespace),
     after a byte-order mark if the file starts with one.
 
-    The body is parsed in bulk; any file the bulk parser rejects goes
-    through the line parser, which accepts what ``float`` accepts and
-    names the file line of the first bad cell.
+    The body is parsed in bulk, streamed from the file; only a file the
+    bulk parser rejects is read whole, and goes through the line parser,
+    which accepts what ``float`` accepts and names the file line of the
+    first bad cell.
     """
     try:
-        with open(path, encoding="utf-8-sig") as handle:
-            text = handle.read()
+        data = _parse_bulk(path)
+        if data is None:
+            with open(path, encoding="utf-8-sig") as handle:
+                text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read dataset file {path!r}: {exc}") from exc
-    data = _parse_bulk(text)
     if data is None:
         data = _parse_lines(text, path)
     return Dataset(y=data[:, 0], X=data[:, 1:])

@@ -11,9 +11,10 @@ Fisher-scoring steps, one of each per outer iteration:
   variance weights; it yields the shrunk coefficients theta;
 * linear step: weighted least squares of a pseudo-response on X.
 
-The backfit carries (beta, theta, f = idwt(theta)) and reads Pen from
-theta.  It also carries X beta and the family at the criterion's
-eta = X beta + f, which are the next iteration's eta and X beta_current.
+Each iteration reads Pen from the theta it has just shrunk.  The backfit
+carries (beta, f = idwt(theta)), X beta and the family at the criterion's
+eta = X beta + f (its mean and bddot, not the cumulant), which are the
+next iteration's eta and X beta_current.
 So an outer iteration does 1 dwt (the pseudo-responses and w Psi^T 1,
 stacked in one call; under the unit gaussian weights the thresholds come
 from a cache), 1 idwt, 1 product X beta and 2 family evaluations, at
@@ -219,20 +220,20 @@ class GplmFit:
 
 
 @lru_cache(maxsize=8)
-def _synthesized_ones(n: int, lowpass: bytes,
-                      coarse_level: int) -> tuple[np.ndarray, np.ndarray]:
-    """Psi^T 1, the signal whose coefficients are all ones, and the
-    threshold base |Psi Psi^T 1| with the scaling block zeroed (read-only),
-    for the filter with these lowpass taps (float64 bytes)."""
+def _synthesized_ones(n: int, lowpass: bytes, coarse_level: int, base: bool) -> np.ndarray:
+    """Psi^T 1, the signal whose coefficients are all ones, or, if ``base``,
+    the threshold base |Psi Psi^T 1| with the scaling block zeroed
+    (read-only), for the filter with these lowpass taps (float64 bytes).
+    An entry holds the one array its caller reads."""
     filt = WaveletFilter(name="", lowpass=np.frombuffer(lowpass), vanishing_moments=0)
     ones = WaveletCoefficients(values=np.ones(n), layout=coefficient_layout(n, coarse_level))
-    signal = idwt(ones, filt)
-    levels = dwt(signal, filt, coarse_level)
-    base = np.abs(levels.values)
-    base[levels.layout.scaling_slice] = 0.0
-    signal.flags.writeable = False
-    base.flags.writeable = False
-    return signal, base
+    table = idwt(ones, filt)
+    if base:
+        levels = dwt(table, filt, coarse_level)
+        table = np.abs(levels.values)
+        table[levels.layout.scaling_slice] = 0.0
+    table.flags.writeable = False
+    return table
 
 
 def per_coefficient_thresholds(
@@ -261,13 +262,13 @@ def per_coefficient_thresholds(
     lam = np.asarray(lam, dtype=float)[..., None]
     if noise_scale_diag is None:
         n = np.shape(signals)[-1]
-        thresholds = lam * _synthesized_ones(n, filt.lowpass.tobytes(), coarse_level)[1]
+        thresholds = lam * _synthesized_ones(n, filt.lowpass.tobytes(), coarse_level, True)
         return thresholds, dwt(signals, filt, coarse_level)
     w = np.asarray(noise_scale_diag, dtype=float)
     if not np.isfinite(w).all():
         raise NumericError("variance weights contain non-finite values")
     n = w.shape[-1]
-    signal = _synthesized_ones(n, filt.lowpass.tobytes(), coarse_level)[0]
+    signal = _synthesized_ones(n, filt.lowpass.tobytes(), coarse_level, False)
     rows = 0 if signals is None else np.size(signals) // n
     stacked = np.empty((rows + w.size // n, n))
     if signals is not None:
@@ -344,24 +345,36 @@ def functional_step(
     return coeffs
 
 
+def _unit_normal_equations(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """X^T, laid out as the transpose of a C-ordered copy of X, and X^T X:
+    the normal matrices of least squares under unit weights.  numpy sends
+    X.T @ X on one buffer to BLAS syrk, whose bits differ from the gemm of
+    the rows, and X.T @ p on a strided X gives other bits than on the copy."""
+    xt = X.copy().T
+    return xt, xt @ X
+
+
 def linear_step(data: Dataset, family: Family, beta_current: np.ndarray,
-                f: np.ndarray, x_beta: np.ndarray | None = None) -> np.ndarray:
+                f: np.ndarray, x_beta: np.ndarray | None = None, *,
+                _unit_normal: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """One parametric Fisher-scoring step: weighted least squares of the
     pseudo-response X beta + (y - mu)/bddot(eta) on X, row by row, at
     eta = X beta + f; ``x_beta`` is X beta_current when the caller has it.
-    Under unit weights (the gaussian family) it is least squares, with one
-    X^T X for every row."""
+    Under unit weights (the gaussian family) it is least squares, whose
+    X^T and X^T X :func:`backfit_rows` forms once per call and passes as
+    ``_unit_normal``."""
     if x_beta is None:
         x_beta = _x_beta(data, beta_current)
     at = family.evaluate(x_beta + f)
     pseudo = x_beta + _working_residual(data, at)
-    # X^T W per row, laid out as the transpose of a C-ordered (n, p) array.
-    # Under unit weights that is a copy of X: numpy sends X.T @ X on one
-    # buffer to BLAS syrk, whose bits differ from the gemm of the rows
-    xtw = np.swapaxes(data.X.copy() if at.b_ddot is None else data.X * at.b_ddot[..., None],
-                      -1, -2)
+    if at.b_ddot is None:
+        xtw, gram = _unit_normal or _unit_normal_equations(data.X)
+    else:
+        # X^T W per row, laid out as the transpose of a C-ordered (n, p) array
+        xtw = np.swapaxes(data.X * at.b_ddot[..., None], -1, -2)
+        gram = xtw @ data.X
     try:
-        return np.linalg.solve(xtw @ data.X, xtw @ pseudo[..., None])[..., 0]
+        return np.linalg.solve(gram, xtw @ pseudo[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
         raise RankError("singular weighted normal equations") from exc
 
@@ -413,7 +426,7 @@ class _Active:
     lam: np.ndarray
     beta: np.ndarray
     f: np.ndarray
-    theta: WaveletCoefficients | None
+    theta: WaveletCoefficients | None  # under freeze_f_at_zero the fixed dwt of f = 0, else None
     x_beta: np.ndarray | None = None  # X beta, once an iteration has formed it
     at: Evaluation | None = None      # the family at X beta + f, likewise
 
@@ -426,17 +439,22 @@ class _Active:
                        None if self.x_beta is None else self.x_beta[keep],
                        None if self.at is None else self.at.rows(keep))
 
-    def iterate(self, family: Family, config: FitConfig, filt: WaveletFilter, k: int):
-        """Outer iteration k + 1 of every row: the new (theta, f, beta), K_n,
-        X beta and the family at X beta + f, or the error of the first check
-        that some row fails."""
+    def iterate(self, family: Family, config: FitConfig, filt: WaveletFilter, k: int,
+                unit_normal: tuple[np.ndarray, np.ndarray] | None):
+        """Outer iteration k + 1 of every row: the new (f, beta), K_n, X beta
+        and the family at X beta + f without its cumulant, or the error of
+        the first check that some row fails.  The shrunk theta lives only
+        for the iteration that reads Pen from it.  ``unit_normal`` is
+        the shared X^T and X^T X that the linear step reads under unit
+        weights."""
         theta, f = self.theta, self.f
         try:
             if not config.freeze_f_at_zero:
                 theta = functional_step(self.rows, family, self.beta, f, config, filt,
                                         self.lam, self.at)
                 f = idwt(theta, filt)
-            beta = linear_step(self.rows, family, self.beta, f, self.x_beta)
+            beta = linear_step(self.rows, family, self.beta, f, self.x_beta,
+                               _unit_normal=unit_normal)
         except (NumericError, RankError) as exc:
             raise FitError(f"outer iteration {k + 1}: {exc}") from exc
         if np.abs(f).max() > EXPLOSION_BOUND or np.abs(beta).max() > EXPLOSION_BOUND:
@@ -448,7 +466,8 @@ class _Active:
         crit = criterion_value(self.rows, family, beta, f, theta, config, self.lam, at)
         if not np.isfinite(crit).all():
             raise FitError(f"outer iteration {k + 1}: non-finite criterion")
-        return theta, f, beta, crit, x_beta, at
+        # the next iteration reads the mean and bddot; the cumulant would be a dead n-vector
+        return f, beta, crit, x_beta, Evaluation(at.eta, at.mean, at.b_ddot)
 
 
 def backfit_rows(data: Dataset, family: Family, config: FitConfig,
@@ -484,6 +503,7 @@ def backfit_rows(data: Dataset, family: Family, config: FitConfig,
             raise DimensionError(f"need one threshold level per row, got shape {lam.shape}")
         _check_threshold_levels(lam)
     rows = Dataset(y=y, X=X)
+    unit_normal = _unit_normal_equations(X) if family.kind == "gaussian" else None
     theta = None
     if config.freeze_f_at_zero:
         f, beta = np.zeros(y.shape), np.zeros((count, data.p))
@@ -496,26 +516,25 @@ def backfit_rows(data: Dataset, family: Family, config: FitConfig,
     results: list = [None] * count
     for k in range(config.kappa):
         try:
-            theta, f, beta, crit, x_beta, at = active.iterate(family, config, filt, k)
+            f, beta, crit, x_beta, at = active.iterate(family, config, filt, k, unit_normal)
         except FitError:
             failed = np.zeros(active.ids.size, dtype=bool)
             for i, row in enumerate(active.ids):
                 try:
-                    active.take(slice(i, i + 1)).iterate(family, config, filt, k)
+                    active.take(slice(i, i + 1)).iterate(family, config, filt, k, unit_normal)
                 except FitError as row_exc:
                     results[row], failed[i] = row_exc, True
             if failed.all():
                 break
             active = active.take(~failed)
-            theta, f, beta, crit, x_beta, at = active.iterate(family, config, filt, k)
+            f, beta, crit, x_beta, at = active.iterate(family, config, filt, k, unit_normal)
         ids = active.ids
         if k:
             decreasing[ids] = np.where(crit < trace[ids, k - 1], decreasing[ids] + 1, 0)
         trace[ids, k] = crit
         gave_up = decreasing[ids] >= DIVERGENCE_PATIENCE
         converged = _row_norms(beta - active.beta) <= config.delta * _row_norms(active.beta)
-        active.theta, active.f, active.beta = theta, f, beta
-        active.x_beta, active.at = x_beta, at
+        active.f, active.beta, active.x_beta, active.at = f, beta, x_beta, at
         done = gave_up | converged | (k + 1 == config.kappa)
         if not done.any():
             continue

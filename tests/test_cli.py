@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -140,24 +141,32 @@ PARSER_CASES = {
     "no-final-newline": ("y,x1\n1,2\n3,4", True),
     "non-ascii-utf-8": ("y,x1\n1,2\u00e9\n3,4\n", False),
     "not-utf-8": (b"y,x1\n1,2\xff\n3,4\n", False),
+    "bom-crlf": (b"\xef\xbb\xbfy,x1\r\n1,2\r\n3,4\r\n", True),
+    # past the first read of the separator scan and of the text decoder
+    "not-utf-8-past-first-chunk": (b"y,x1\n" + b"1,2\n" * 20000 + b"3,4\xff\n", False),
+    "blank-lines-no-rows": ("\n \ny,x1\n\n\t\n  \n", False),
 }
 
 
 @pytest.mark.parametrize("text, bulk", PARSER_CASES.values(), ids=PARSER_CASES.keys())
 def test_bulk_parser_agrees_with_line_parser(tmp_path, text, bulk):
-    # read_dataset returns the line parser's table bit for bit, or raises
-    # its message byte for byte; a file that is not UTF-8 fails to read
+    # the streaming bulk parser vouches for the file or not, and warns of
+    # nothing; read_dataset returns the line parser's table bit for bit, or
+    # raises its message byte for byte; a file that is not UTF-8 fails to read
     path = tmp_path / "d.csv"
     path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = _parse_bulk(str(path))
+    assert (table is not None) == bulk
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             body = handle.read()
     except UnicodeDecodeError as exc:
         with pytest.raises(ConfigurationError) as got:
             read_dataset(str(path))
         assert str(got.value) == f"cannot read dataset file {str(path)!r}: {exc}"
         return
-    assert (_parse_bulk(body) is not None) == bulk
     try:
         expected = _parse_lines(body, str(path))
     except ConfigurationError as exc:
@@ -165,9 +174,10 @@ def test_bulk_parser_agrees_with_line_parser(tmp_path, text, bulk):
             read_dataset(str(path))
         assert str(got.value) == str(exc)
         return
+    if bulk:
+        assert table.tobytes() == expected.tobytes()
     if expected.shape[1] == 1:
-        # no covariate column: the parsers agree, and Dataset rejects the table
-        assert _parse_bulk(body).tobytes() == expected.tobytes()
+        # no covariate column: Dataset rejects the table
         with pytest.raises(DimensionError, match="need at least one covariate column"):
             read_dataset(str(path))
         return
@@ -189,12 +199,27 @@ def test_bulk_parser_is_bit_identical_at_scale(tmp_path):
                            for i, row in enumerate(values)]
     path = tmp_path / "big.csv"
     path.write_text("\n".join(lines) + "\n")
-    body = path.read_text()
-    table = _parse_bulk(body)
+    table = _parse_bulk(str(path))
     assert table is not None
-    assert table.tobytes() == _parse_lines(body, str(path)).tobytes()
+    assert table.tobytes() == _parse_lines(path.read_text(), str(path)).tobytes()
     data = read_dataset(str(path))
     assert data.y.tobytes() == table[:, 0].tobytes()
+
+
+def test_read_dataset_peak_is_the_table_and_one_mib(tmp_path):
+    # the bulk parser streams the file: reading a 65536 x 3 table (1.5 MiB)
+    # takes at most 1 MiB besides the table
+    values = np.random.default_rng(12).standard_normal((65536, 3))
+    path = tmp_path / "big.csv"
+    np.savetxt(path, values, fmt="%.17g", delimiter=",", header="y,x1,x2", comments="")
+    tracemalloc.start()
+    try:
+        data = read_dataset(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert data.y.tobytes() == values[:, 0].tobytes()
+    assert peak <= values.nbytes + (1 << 20)
 
 
 def _oracle_default(obj):

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -181,7 +182,8 @@ class TestThresholdVector:
     def test_cached_psi_t_one_is_bit_identical(self, kind):
         # lambda |dwt(w * idwt(1))| with Psi^T 1 synthesized afresh, against
         # the vector taken from a cold and then from a warm cache (for the
-        # gaussian w = 1, lambda times the cached base)
+        # gaussian w = 1, lambda times the cached base); each cache entry
+        # holds one read-only array, Psi^T 1 or the base
         from wavegplm.estimator import _synthesized_ones
 
         n, j0, lam = 256, 3, 1.7
@@ -199,10 +201,15 @@ class TestThresholdVector:
             np.testing.assert_array_equal(thr, expected)
             np.testing.assert_array_equal(np.signbit(thr), np.signbit(expected))
         assert _synthesized_ones.cache_info().hits == 1
-        signal, base = _synthesized_ones(n, filt.lowpass.tobytes(), j0)
+        signal = _synthesized_ones(n, filt.lowpass.tobytes(), j0, False)
         assert _synthesized_ones.cache_info()[:2] == (2, 1)  # hits, misses
+        base = _synthesized_ones(n, filt.lowpass.tobytes(), j0, True)
+        assert _synthesized_ones.cache_info()[:2] == (2, 2)
         expected_base = np.abs(dwt(ones, filt, j0).values)
         expected_base[:1 << j0] = 0.0
+        thr, _ = per_coefficient_thresholds(lam, None, filt, j0, eta)
+        assert _synthesized_ones.cache_info()[:2] == (3, 2)
+        np.testing.assert_array_equal(thr, lam * expected_base)
         for cached, reference in ((signal, ones), (base, expected_base)):
             assert not cached.flags.writeable
             np.testing.assert_array_equal(cached, reference)
@@ -401,6 +408,30 @@ class TestBackfit:
         assert fit.trace[-1] == fit.criterion
         assert not fit.converged
 
+    def test_large_gaussian_fit_peak(self):
+        # at n = 65536 a warm gaussian fit holds the copy of X (two
+        # n-vectors), the carried f, X beta and eta, and one iteration's
+        # theta, f and transform buffers: at most 12 n-vectors at its
+        # traced peak, the data not counted.  X is a strided view, as the
+        # CLI hands it over
+        n = 65536
+        rng = np.random.default_rng(4)
+        table = np.empty((n, 3))
+        table[:, 1:] = rng.standard_normal((n, 2))
+        table[:, 0] = table[:, 1:] @ [1.0, -0.5] + np.sin(np.arange(n) / 900.0)
+        table[:, 0] += rng.standard_normal(n)
+        data = Dataset(y=table[:, 0], X=table[:, 1:])
+        family, config = make_family("gaussian"), FitConfig(kappa=1000, delta=1e-12)
+        backfit(data, family, config)  # the caches
+        tracemalloc.start()
+        try:
+            fit = backfit(data, family, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fit.iterations > 1
+        assert peak <= 12 * n * 8
+
     def test_transform_budget(self, monkeypatch):
         # per outer iteration: one dwt of the pseudo-responses (stacked with
         # w Psi^T 1 under the poisson weights; the unit gaussian weights
@@ -408,8 +439,8 @@ class TestBackfit:
         # family evaluations, at X beta + f_new for the linear step and at
         # X beta_new + f_new for the criterion and the next functional
         # step.  Once per fit: the first functional step's evaluation and
-        # final_loglik's; Psi^T 1 with its threshold base cost one idwt and
-        # one dwt per cold cache
+        # final_loglik's; per cold cache, the gaussian threshold base costs
+        # one idwt and one dwt, and the poisson Psi^T 1 one idwt
         import wavegplm.estimator as estimator
 
         calls = {}
@@ -436,7 +467,8 @@ class TestBackfit:
                 calls.update(dwt=0, idwt=0, evaluate=0)
                 fit = backfit(data, family, FitConfig(kappa=25, delta=0.0))
                 assert fit.iterations >= 20
-                assert calls == {"dwt": fit.iterations + cold, "idwt": fit.iterations + cold,
+                assert calls == {"dwt": fit.iterations + cold * (kind == "gaussian"),
+                                 "idwt": fit.iterations + cold,
                                  "evaluate": 2 * fit.iterations + 2}
 
     def test_poisson_divergence_detected(self):

@@ -9,6 +9,9 @@ with PYTHONPATH set to that tree's ``src``:
 * ``fit`` of a gaussian dataset (n = 1024, p = 2) with every supported
   filter, under the l1 penalty, the Sobolev penalty and ``--coarse-level 0``;
 * ``fit`` of a Poisson and of a binomial (m = 4) dataset;
+* ``fit`` of a gaussian dataset of n = 65536 rows (p = 2) with every
+  supported filter, and of the same file with a byte-order mark and CRLF
+  line ends;
 * two ``simulate`` runs (report JSON and plot TSV);
 * ``calibrate`` with a threshold grid, with ``--sweep-m`` and with
   ``--sweep-n``;
@@ -42,7 +45,9 @@ def _write_dataset(path: Path, y, X):
 
 
 def _datasets(directory: Path) -> dict[str, Path]:
-    """Gaussian, Poisson and binomial (m = 4) datasets of n = 1024 rows."""
+    """Gaussian, Poisson and binomial (m = 4) datasets of n = 1024 rows, a
+    gaussian one of n = 65536 rows, and that file with a byte-order mark
+    and CRLF line ends."""
     n = 1024
     t = np.arange(1, n + 1) / n
     f = np.sin(4 * np.pi * t) + (t > 0.7)
@@ -59,6 +64,15 @@ def _datasets(directory: Path) -> dict[str, Path]:
             y = rng.binomial(4, 1 / (1 + np.exp(-eta))) / 4
         paths[kind] = directory / f"{kind}.csv"
         _write_dataset(paths[kind], y, X)
+    n = 65536
+    rng = np.random.default_rng(4)
+    X = rng.standard_normal((n, 2))
+    y = X @ [1.0, -0.5] + np.sin(np.arange(n) / 900.0) + rng.standard_normal(n)
+    paths["large"] = directory / "large.csv"
+    _write_dataset(paths["large"], y, X)
+    paths["large bom-crlf"] = directory / "large-bom-crlf.csv"
+    paths["large bom-crlf"].write_bytes(
+        b"\xef\xbb\xbf" + paths["large"].read_bytes().replace(b"\n", b"\r\n"))
     return paths
 
 
@@ -75,6 +89,9 @@ def _commands(tree: Path, data: dict[str, Path]) -> dict[str, list[str]]:
     commands["fit poisson"] = ["fit", str(data["poisson"]), "--family", "poisson", *FIT]
     commands["fit binomial"] = ["fit", str(data["binomial"]), "--family", "binomial",
                                 "--m", "4", *FIT]
+    for name in FILTERS:
+        commands[f"fit large {name}"] = ["fit", str(data["large"]), "--filter", name, *FIT]
+    commands["fit large bom-crlf"] = ["fit", str(data["large bom-crlf"]), *FIT]
     commands["simulate gaussian"] = ["simulate", "--n", "256", "--reps", "20", "--seed", "3",
                                      "--kappa", "500", "--delta", "1e-12"]
     commands["simulate poisson"] = ["simulate", "--family", "poisson", "--snr-f", "1.5",
