@@ -13,7 +13,7 @@ Fisher-scoring steps, one of each per outer iteration:
 
 Each iteration reads Pen from the theta it has just shrunk.  The backfit
 carries (beta, f = idwt(theta)), X beta and the family at the criterion's
-eta = X beta + f (its mean and bddot, not the cumulant), which are the
+eta = X beta + f (its mean and bddot only), which are the
 next iteration's eta and X beta_current.
 So an outer iteration does 1 dwt (the pseudo-responses and w Psi^T 1,
 stacked in one call; under the unit gaussian weights the thresholds come
@@ -442,7 +442,7 @@ class _Active:
     def iterate(self, family: Family, config: FitConfig, filt: WaveletFilter, k: int,
                 unit_normal: tuple[np.ndarray, np.ndarray] | None):
         """Outer iteration k + 1 of every row: the new (f, beta), K_n, X beta
-        and the family at X beta + f without its cumulant, or the error of
+        and the family's mean and bddot at X beta + f, or the error of
         the first check that some row fails.  The shrunk theta lives only
         for the iteration that reads Pen from it.  ``unit_normal`` is
         the shared X^T and X^T X that the linear step reads under unit
@@ -466,8 +466,9 @@ class _Active:
         crit = criterion_value(self.rows, family, beta, f, theta, config, self.lam, at)
         if not np.isfinite(crit).all():
             raise FitError(f"outer iteration {k + 1}: non-finite criterion")
-        # the next iteration reads the mean and bddot; the cumulant would be a dead n-vector
-        return f, beta, crit, x_beta, Evaluation(at.eta, at.mean, at.b_ddot)
+        # the next iteration reads the mean and bddot; eta and the cumulant
+        # would be dead n-vectors
+        return f, beta, crit, x_beta, Evaluation(None, at.mean, at.b_ddot)
 
 
 def backfit_rows(data: Dataset, family: Family, config: FitConfig,
@@ -511,7 +512,7 @@ def backfit_rows(data: Dataset, family: Family, config: FitConfig,
     else:
         f, beta = initialize(rows, family)
     active = _Active(np.arange(count), rows, lam, beta, f, theta)
-    trace = np.empty((count, config.kappa))       # K_n after each outer iteration, by row id
+    trace = np.empty((config.kappa, count))       # K_n after each outer iteration, by row id
     decreasing = np.zeros(count, dtype=int)       # consecutive criterion decreases, by row id
     results: list = [None] * count
     for k in range(config.kappa):
@@ -529,15 +530,17 @@ def backfit_rows(data: Dataset, family: Family, config: FitConfig,
             active = active.take(~failed)
             f, beta, crit, x_beta, at = active.iterate(family, config, filt, k, unit_normal)
         ids = active.ids
+        trace[k][ids] = crit
         if k:
-            decreasing[ids] = np.where(crit < trace[ids, k - 1], decreasing[ids] + 1, 0)
-        trace[ids, k] = crit
+            decreasing[ids] = (decreasing[ids] + 1) * (crit < trace[k - 1][ids])
         gave_up = decreasing[ids] >= DIVERGENCE_PATIENCE
         converged = _row_norms(beta - active.beta) <= config.delta * _row_norms(active.beta)
         active.f, active.beta, active.x_beta, active.at = f, beta, x_beta, at
-        done = gave_up | converged | (k + 1 == config.kappa)
-        if not done.any():
+        done = gave_up | converged
+        last = k + 1 == config.kappa
+        if not (last or np.count_nonzero(done)):
             continue
+        done |= last
         for i in np.flatnonzero(done):
             results[ids[i]] = FitDivergenceError(
                 f"criterion decreased over {DIVERGENCE_PATIENCE} consecutive "
@@ -546,7 +549,7 @@ def backfit_rows(data: Dataset, family: Family, config: FitConfig,
                 beta=beta[i], f_hat=f[i], iterations=k + 1, converged=bool(converged[i]),
                 final_loglik=family.loglik(active.rows.y[i], X @ beta[i] + f[i]),
                 criterion=float(crit[i]), lam=float(active.lam[i]),
-                trace=trace[ids[i], :k + 1].copy(),
+                trace=trace[:k + 1, ids[i]].copy(),
             )
         if done.all():
             break

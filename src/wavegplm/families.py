@@ -37,9 +37,11 @@ class Evaluation:
     None where bddot is 1 for every eta (the gaussian family): callers
     then take the unit-weight forms, plain least squares and the cached
     uniform thresholds.  The arrays may share memory with each other and
-    with eta; treat them as read-only."""
+    with eta; treat them as read-only.  ``eta`` is None in the evaluation
+    that a backfit carries into its next iteration, which reads only the
+    mean and bddot."""
 
-    eta: np.ndarray
+    eta: np.ndarray | None
     mean: np.ndarray
     b_ddot: np.ndarray | None
     cumulant: np.ndarray | None = None
@@ -51,8 +53,9 @@ class Evaluation:
         return total if total.ndim else float(total)
 
     def rows(self, keep) -> "Evaluation":
-        """The rows that ``keep`` selects, without the cumulant."""
-        return Evaluation(self.eta[keep], self.mean[keep],
+        """The mean and bddot of the rows that ``keep`` selects, without eta
+        and the cumulant."""
+        return Evaluation(None, self.mean[keep],
                           None if self.b_ddot is None else self.b_ddot[keep])
 
 

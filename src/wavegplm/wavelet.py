@@ -24,12 +24,16 @@ this yields detail coefficients d_k = (e_{2k} - e_{2k+1}) / sqrt(2).
 Summation order: a stage on m samples (approximation a, details d of
 length m/2, taps l = 0..L-1) gives the same bits on every call.
 Analysis takes each output as a BLAS dot product of the contiguous window
-x[(2i + l) mod m], l = 0..L-1, with the lowpass or the highpass taps.  The
-windows are copied out of the level extended by only its first L - 2
-samples (by whole copies of a level shorter than that) and copied and
-multiplied at most BLOCK windows at a time, so that the L x m/2 window
-copy does not grow with n; both products go straight into the output
-array, where the level's approximation and details replace the level.
+x[(2i + l) mod m], l = 0..L-1, with the lowpass or the highpass taps.  A
+stage small by the rule synthesis uses below (m/2 <= PLAN_LEVEL and at
+most PLAN_OUTPUTS outputs over its rows) gathers all its windows with one
+``take`` through a cached index of (2i + l) mod m.  Any other stage copies
+them out of the level extended by only its first L - 2 samples (by whole
+copies of a level shorter than that), at most BLOCK windows at a time, so
+that the L x m/2 window copy does not grow with n.  Either way the windows
+and the products are the same, and both products go straight into the
+output array, where the level's approximation and details replace the
+level.
 Synthesis starts every output x[p] at +0.0 and adds the terms
 h_l a_i + g_l d_i with (2i + l) mod m = p in increasing i, ties in
 increasing l: the order of an unbuffered scatter-add over that circular
@@ -136,7 +140,8 @@ BLOCK = 8192
 #: synthesis stages with h <= PLAN_LEVEL outputs per parity and at most
 #: PLAN_OUTPUTS outputs over their rows gather faster (timed at 1 to 128
 #: rows); longer levels gave one-row n = 65536 fits no gain.  Any other
-#: stage gathers only the outputs whose terms wrap around the level
+#: stage gathers only the outputs whose terms wrap around the level.
+#: Analysis stages gather their windows under the same rule
 PLAN_LEVEL, PLAN_OUTPUTS = 128, 2048
 
 
@@ -268,16 +273,32 @@ class WaveletCoefficients:
         return self.values[..., 1 << self.layout.coarse_level:]
 
 
+@lru_cache(maxsize=64)
+def _analysis_windows(m: int, L: int) -> np.ndarray:
+    """Read-only index of the windows of a level of m samples for L taps:
+    [i, l] = (2i + l) mod m."""
+    index = (2 * np.arange(m // 2)[:, None] + np.arange(L)) % m
+    index.flags.writeable = False
+    return index
+
+
 def _analysis_stage(level: np.ndarray, filt: WaveletFilter) -> None:
     """Replace each row of ``level`` (..., m) by its approximation and its
     details, m/2 each, in place."""
     m, L = level.shape[-1], len(filt)
     h = m // 2
-    # window i holds x[(2i + l) mod m], l = 0..L-1: a strided view of each
-    # row extended by its first L - 2 samples (by whole copies of a row
-    # shorter than that).  The extension is a copy, so the outputs may
-    # overwrite the level; windows are copied so that both products are
-    # BLAS calls, one per row as for a single signal
+    # window i holds x[(2i + l) mod m], l = 0..L-1, copied so that both
+    # products are BLAS calls, one per row as for a single signal.  A stage
+    # small by the synthesis rule (level.size is 2 rows h) gathers its
+    # windows through a cached index
+    if h <= PLAN_LEVEL and level.size <= PLAN_OUTPUTS:
+        window = level.take(_analysis_windows(m, L), axis=-1)
+        np.matmul(window, filt.lowpass, out=level[..., :h])
+        np.matmul(window, filt.highpass, out=level[..., h:])
+        return
+    # any other stage copies them from a strided view of each row extended
+    # by its first L - 2 samples (by whole copies of a row shorter than
+    # that).  The extension is a copy, so the outputs may overwrite the level
     extended = np.concatenate((level,) * (1 + (L - 2) // m) + (level[..., :(L - 2) % m],),
                               axis=-1)
     step = extended.itemsize

@@ -715,6 +715,22 @@ def test_lockstep_rows_equal_one_row_backfits(kind):
             "outer iteration 1: natural parameter contains non-finite values"] + [singular] * 2
 
 
+@pytest.mark.parametrize("kind", ["binomial", "poisson"])
+def test_lockstep_carries_only_the_mean_and_bddot(kind):
+    # the next iteration reads the family's mean and bddot at the
+    # criterion's eta; eta and the cumulant would be dead n-vectors, also
+    # in the rows that stay when others leave
+    from wavegplm.estimator import _Active
+
+    data, family, config, lams = _lockstep_case(kind)
+    f, beta = initialize(data, family)
+    active = _Active(np.arange(len(lams)), data, np.array(lams), beta, f, None)
+    *_, at = active.iterate(family, config, make_filter(config.filter_name), 0, None)
+    for carried, rows in ((at, len(lams)), (at.rows(slice(1, None)), len(lams) - 1)):
+        assert carried.eta is None and carried.cumulant is None
+        assert carried.mean.shape == carried.b_ddot.shape == (rows, data.n)
+
+
 def _backfit_by_hand(data, family, config, lam, iterations):
     """(beta, f, trace) after ``iterations`` outer iterations of one row,
     each a fresh call of the public steps with nothing carried over, with

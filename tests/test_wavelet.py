@@ -15,8 +15,8 @@ from wavegplm import (
     make_filter,
     transform_matrix,
 )
-from wavegplm.wavelet import (BLOCK, PLAN_LEVEL, PLAN_OUTPUTS, _synthesis_plan,
-                              _synthesis_stage)
+from wavegplm.wavelet import (BLOCK, PLAN_LEVEL, PLAN_OUTPUTS, _analysis_stage,
+                              _analysis_windows, _synthesis_plan, _synthesis_stage)
 
 
 class TestMakeFilter:
@@ -264,15 +264,16 @@ def test_dwt_peak_does_not_grow_with_n_times_taps(name):
     assert peak <= (2 * n + BLOCK * len(filt)) * x.itemsize + (1 << 16)
 
 
-@pytest.mark.parametrize("rows", [(1,), (2,), (7,), (2, 3)], ids=str)
+@pytest.mark.parametrize("rows", [(1,), (2,), (7,), (8,), (9,), (2, 3)], ids=str)
 @pytest.mark.parametrize("name", SUPPORTED_FILTERS)
 def test_stacked_rows_match_one_dimensional_calls_bit_for_bit(name, rows):
     # every row of a (..., n) transform equals the 1-d transform of that
     # row (which the add.at reference pins down), down to coarse level 0
     # and with a row of signed zeros among ordinary rows; up to n = 1024,
     # whose last two synthesis levels are longer than PLAN_LEVEL, and both
-    # transforms at n = 32768
-    assert 1 << 8 > PLAN_LEVEL
+    # transforms at n = 32768.  At n = 256, 8 rows fill PLAN_OUTPUTS and 9
+    # rows pass it, so the first stage gathers for 8 rows and not for 9
+    assert 1 << 8 > PLAN_LEVEL and 2 * 8 * PLAN_LEVEL == PLAN_OUTPUTS
     filt = make_filter(name)
     rng = np.random.default_rng([len(filt), *rows])
     for J in range(1, 11):
@@ -347,6 +348,61 @@ def test_synthesis_stage_matches_add_at_reference_on_both_sides_of_plan_outputs(
             for row in range(rows):
                 _assert_bits_equal(out[row], _reference_synthesis(approx[row], detail[row], filt))
         h *= 2
+
+
+@pytest.mark.parametrize("name", SUPPORTED_FILTERS)
+def test_analysis_stage_matches_reference_on_both_sides_of_plan_bounds(name):
+    # a stage with h <= PLAN_LEVEL and at most PLAN_OUTPUTS outputs over its
+    # rows gathers its windows through the cached index, any other copies
+    # them from a strided view: from h = 1 (a level of 2 samples, shorter
+    # than every filter but haar) to PLAN_LEVEL, rows that just fit and one
+    # row more, and one row at 2 PLAN_LEVEL; only a small stage looks up an
+    # index.  The level is the head of a wider row, as in dwt, and holds a
+    # row of -0.0 and a row of signed zeros
+    filt = make_filter(name)
+    rng = np.random.default_rng([len(filt), PLAN_LEVEL])
+    shapes = [(PLAN_OUTPUTS // (2 << J) + extra, 1 << J)
+              for J in range(PLAN_LEVEL.bit_length()) for extra in (0, 1)]
+    for rows, h in shapes + [(1, 2 * PLAN_LEVEL)]:
+        m = 2 * h
+        wide = rng.standard_normal((rows, 2 * m)) * 10.0 ** rng.uniform(-8, 8, (rows, 2 * m))
+        wide[0] = -0.0
+        if rows > 1:
+            wide[1] = np.copysign(0.0, rng.standard_normal(2 * m))
+        level = wide[:, :m]
+        signals, tail = level.copy(), wide[:, m:].copy()
+        looked_up = _analysis_windows.cache_info()
+        _analysis_stage(level, filt)
+        info = _analysis_windows.cache_info()
+        small = h <= PLAN_LEVEL and rows * m <= PLAN_OUTPUTS
+        assert info.hits + info.misses == looked_up.hits + looked_up.misses + small
+        _assert_bits_equal(wide[:, m:], tail)
+        for row in range(rows):
+            approx, detail = _reference_analysis(signals[row], filt)
+            _assert_bits_equal(level[row, :h], approx)
+            _assert_bits_equal(level[row, h:], detail)
+
+
+def test_analysis_window_index_is_read_only_and_shared_by_filters_of_one_length():
+    # the index depends on the level and the filter length only: a filter
+    # built directly with 8 taps of its own reads the entries that
+    # daubechies-8 made, and each entry lists (2i + l) mod m
+    custom = WaveletFilter(name="custom", lowpass=np.random.default_rng(8).standard_normal(8),
+                           vanishing_moments=0)
+    x = np.random.default_rng(9).standard_normal(256)
+    _analysis_windows.cache_clear()
+    dwt(x, make_filter("daubechies-8"), 3)
+    made = _analysis_windows.cache_info()
+    dwt(x, custom, 3)
+    shared = _analysis_windows.cache_info()
+    assert made.misses == 5 and shared.misses == made.misses
+    assert shared.hits == made.hits + 5
+    _assert_bits_equal(dwt(x, custom, 3).values, _reference_dwt(x, custom, 3))
+    for m in (2, 4, 256):
+        index = _analysis_windows(m, 8)
+        assert not index.flags.writeable
+        np.testing.assert_array_equal(
+            index, (2 * np.arange(m // 2)[:, None] + np.arange(8)[None, :]) % m)
 
 
 def test_kernels_take_the_taps_of_the_filter_they_are_given():
