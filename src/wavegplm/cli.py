@@ -133,10 +133,6 @@ def _fit_config(args) -> FitConfig:
                      penalty=penalty)
 
 
-def _family(args):
-    return make_family(args.family, m=args.m, phi=args.phi)
-
-
 def _header(head: str) -> tuple[str | None, list[str]]:
     """The delimiter (comma if the header has one, else whitespace) and the
     column names of a stripped header line."""
@@ -240,7 +236,7 @@ def read_dataset(path: str) -> Dataset:
 
 def cmd_fit(args) -> int:
     data = read_dataset(args.input)
-    family = _family(args)
+    family = make_family(args.family, m=args.m, phi=args.phi)
     config = _fit_config(args)
     fit = backfit(data, family, config)
     _write_json({
@@ -391,12 +387,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_family_flags(cal)
     _add_fit_flags(cal)
     _add_simulation_flags(cal, reps=100)
-    cal.add_argument("--lambda-grid", default=None,
-                     help="comma list or lin:start:stop:count")
-    cal.add_argument("--sweep-m", default=None,
-                     help="comma list of binomial m values; fits slope c and R^2")
-    cal.add_argument("--sweep-n", default=None,
-                     help="comma list of sample sizes; fits slope c and R^2")
+    modes = cal.add_mutually_exclusive_group()
+    modes.add_argument("--lambda-grid", default=None,
+                       help="comma list or lin:start:stop:count")
+    modes.add_argument("--sweep-m", default=None,
+                       help="comma list of binomial m values; fits slope c and R^2")
+    modes.add_argument("--sweep-n", default=None,
+                       help="comma list of sample sizes; fits slope c and R^2")
     cal.add_argument("--ratio-grid", default="lin:0.1:1.5:15",
                      help="grid of ratios of sqrt(phi log n) used by sweeps")
     cal.add_argument("--out", default=None)
@@ -411,6 +408,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return _VALIDATION_EXIT if exc.code not in (0, None) else 0
     try:
+        # a family flag the chosen family ignores would go into the report unused
+        for flag, kind in (("m", "binomial"), ("phi", "gaussian")):
+            if getattr(args, flag) is not None and args.family != kind:
+                raise ConfigurationError(f"--{flag} applies to --family {kind} only")
         return args.func(args)
     except (ConfigurationError, DimensionError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)

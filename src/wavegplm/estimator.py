@@ -17,7 +17,8 @@ eta = X beta + f (its mean and bddot only), which are the
 next iteration's eta and X beta_current.
 So an outer iteration does 1 dwt (the pseudo-responses and w Psi^T 1,
 stacked in one call; under the unit gaussian weights the thresholds come
-from a cache), 1 idwt, 1 product X beta and 2 family evaluations, at
+from a cache and the least squares from the X^T X each :class:`Dataset`
+forms once), 1 idwt, 1 product X beta and 2 family evaluations, at
 X beta + f_new for the linear step and at X beta_new + f_new for the
 criterion.  Scaling coefficients are never penalized; the penalty acts on
 detail (wavelet) coefficients only.
@@ -39,7 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -204,6 +205,15 @@ class Dataset:
     def t(self) -> np.ndarray:
         return np.arange(1, self.n + 1) / self.n
 
+    @cached_property
+    def _unit_normal(self) -> tuple[np.ndarray, np.ndarray]:
+        """X^T, laid out as the transpose of a C-ordered copy of X, and X^T X:
+        the normal matrices of least squares under unit weights.  numpy sends
+        X.T @ X on one buffer to BLAS syrk, whose bits differ from the gemm of
+        the rows, and X.T @ p on a strided X gives other bits than on the copy."""
+        xt = self.X.copy().T
+        return xt, xt @ self.X
+
 
 @dataclass(frozen=True)
 class GplmFit:
@@ -220,12 +230,10 @@ class GplmFit:
 
 
 @lru_cache(maxsize=8)
-def _synthesized_ones(n: int, lowpass: bytes, coarse_level: int, base: bool) -> np.ndarray:
+def _synthesized_ones(n: int, filt: WaveletFilter, coarse_level: int, base: bool) -> np.ndarray:
     """Psi^T 1, the signal whose coefficients are all ones, or, if ``base``,
     the threshold base |Psi Psi^T 1| with the scaling block zeroed
-    (read-only), for the filter with these lowpass taps (float64 bytes).
-    An entry holds the one array its caller reads."""
-    filt = WaveletFilter(name="", lowpass=np.frombuffer(lowpass), vanishing_moments=0)
+    (read-only), for ``filt``.  An entry holds the one array its caller reads."""
     ones = WaveletCoefficients(values=np.ones(n), layout=coefficient_layout(n, coarse_level))
     table = idwt(ones, filt)
     if base:
@@ -261,14 +269,16 @@ def per_coefficient_thresholds(
     """
     lam = np.asarray(lam, dtype=float)[..., None]
     if noise_scale_diag is None:
+        if signals is None:
+            raise ConfigurationError("unit weights need the signals, which give n")
         n = np.shape(signals)[-1]
-        thresholds = lam * _synthesized_ones(n, filt.lowpass.tobytes(), coarse_level, True)
+        thresholds = lam * _synthesized_ones(n, filt, coarse_level, True)
         return thresholds, dwt(signals, filt, coarse_level)
     w = np.asarray(noise_scale_diag, dtype=float)
     if not np.isfinite(w).all():
         raise NumericError("variance weights contain non-finite values")
     n = w.shape[-1]
-    signal = _synthesized_ones(n, filt.lowpass.tobytes(), coarse_level, False)
+    signal = _synthesized_ones(n, filt, coarse_level, False)
     rows = 0 if signals is None else np.size(signals) // n
     stacked = np.empty((rows + w.size // n, n))
     if signals is not None:
@@ -345,30 +355,19 @@ def functional_step(
     return coeffs
 
 
-def _unit_normal_equations(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """X^T, laid out as the transpose of a C-ordered copy of X, and X^T X:
-    the normal matrices of least squares under unit weights.  numpy sends
-    X.T @ X on one buffer to BLAS syrk, whose bits differ from the gemm of
-    the rows, and X.T @ p on a strided X gives other bits than on the copy."""
-    xt = X.copy().T
-    return xt, xt @ X
-
-
 def linear_step(data: Dataset, family: Family, beta_current: np.ndarray,
-                f: np.ndarray, x_beta: np.ndarray | None = None, *,
-                _unit_normal: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+                f: np.ndarray, x_beta: np.ndarray | None = None) -> np.ndarray:
     """One parametric Fisher-scoring step: weighted least squares of the
     pseudo-response X beta + (y - mu)/bddot(eta) on X, row by row, at
     eta = X beta + f; ``x_beta`` is X beta_current when the caller has it.
     Under unit weights (the gaussian family) it is least squares, whose
-    X^T and X^T X :func:`backfit_rows` forms once per call and passes as
-    ``_unit_normal``."""
+    X^T and X^T X ``data`` forms once."""
     if x_beta is None:
         x_beta = _x_beta(data, beta_current)
     at = family.evaluate(x_beta + f)
     pseudo = x_beta + _working_residual(data, at)
     if at.b_ddot is None:
-        xtw, gram = _unit_normal or _unit_normal_equations(data.X)
+        xtw, gram = data._unit_normal
     else:
         # X^T W per row, laid out as the transpose of a C-ordered (n, p) array
         xtw = np.swapaxes(data.X * at.b_ddot[..., None], -1, -2)
@@ -426,35 +425,32 @@ class _Active:
     lam: np.ndarray
     beta: np.ndarray
     f: np.ndarray
-    theta: WaveletCoefficients | None  # under freeze_f_at_zero the fixed dwt of f = 0, else None
     x_beta: np.ndarray | None = None  # X beta, once an iteration has formed it
     at: Evaluation | None = None      # the family at X beta + f, likewise
 
     def take(self, keep) -> "_Active":
         """The rows that ``keep`` selects."""
-        theta = None if self.theta is None else WaveletCoefficients(
-            values=self.theta.values[keep], layout=self.theta.layout)
         return _Active(self.ids[keep], Dataset(y=self.rows.y[keep], X=self.rows.X),
-                       self.lam[keep], self.beta[keep], self.f[keep], theta,
+                       self.lam[keep], self.beta[keep], self.f[keep],
                        None if self.x_beta is None else self.x_beta[keep],
                        None if self.at is None else self.at.rows(keep))
 
-    def iterate(self, family: Family, config: FitConfig, filt: WaveletFilter, k: int,
-                unit_normal: tuple[np.ndarray, np.ndarray] | None):
+    def iterate(self, family: Family, config: FitConfig, filt: WaveletFilter, k: int):
         """Outer iteration k + 1 of every row: the new (f, beta), K_n, X beta
         and the family's mean and bddot at X beta + f, or the error of
         the first check that some row fails.  The shrunk theta lives only
-        for the iteration that reads Pen from it.  ``unit_normal`` is
-        the shared X^T and X^T X that the linear step reads under unit
-        weights."""
-        theta, f = self.theta, self.f
+        for the iteration that reads Pen from it; under freeze_f_at_zero it
+        is the zero theta of f = 0."""
+        f = self.f
         try:
-            if not config.freeze_f_at_zero:
+            if config.freeze_f_at_zero:
+                j0 = config.penalty.resolve_coarse_level(self.rows.n)
+                theta = WaveletCoefficients(np.zeros(f.shape), coefficient_layout(self.rows.n, j0))
+            else:
                 theta = functional_step(self.rows, family, self.beta, f, config, filt,
                                         self.lam, self.at)
                 f = idwt(theta, filt)
-            beta = linear_step(self.rows, family, self.beta, f, self.x_beta,
-                               _unit_normal=unit_normal)
+            beta = linear_step(self.rows, family, self.beta, f, self.x_beta)
         except (NumericError, RankError) as exc:
             raise FitError(f"outer iteration {k + 1}: {exc}") from exc
         if np.abs(f).max() > EXPLOSION_BOUND or np.abs(beta).max() > EXPLOSION_BOUND:
@@ -484,17 +480,17 @@ def backfit_rows(data: Dataset, family: Family, config: FitConfig,
     alone; those that fail it drop out and the others redo it together.
     A :class:`NumericError` from the criterion (a non-finite eta that the
     sup-norm check lets through) ends the call, as it ends :func:`backfit`.
-    A Poisson response below 0 or a binomial response outside [0, 1] is a
-    :class:`DomainError` before the first iteration.
+    A response outside ``family.support`` (below 0 for Poisson, outside
+    [0, 1] for binomial) is a :class:`DomainError` before the first iteration.
     """
     n, X = data.n, data.X
     y = data.y.reshape(-1, n)
     count = y.shape[0]
-    high = {"binomial": 1.0, "poisson": math.inf}.get(family.kind)
-    bad = () if high is None else np.argwhere((data.y < 0) | (data.y > high))  # NaN passes
+    low, high = family.support
+    bad = np.argwhere((data.y < low) | (data.y > high))  # NaN passes
     if len(bad):
         raise DomainError(f"{family.kind} response {data.y[tuple(bad[0])]:g} at index "
-                          f"{', '.join(map(str, bad[0]))} lies outside [0, {high:g}]")
+                          f"{', '.join(map(str, bad[0]))} lies outside [{low:g}, {high:g}]")
     filt = make_filter(config.filter_name)
     if lams is None:
         lam = np.full(count, config.penalty.resolve_lambda(family, n))
@@ -504,31 +500,28 @@ def backfit_rows(data: Dataset, family: Family, config: FitConfig,
             raise DimensionError(f"need one threshold level per row, got shape {lam.shape}")
         _check_threshold_levels(lam)
     rows = Dataset(y=y, X=X)
-    unit_normal = _unit_normal_equations(X) if family.kind == "gaussian" else None
-    theta = None
     if config.freeze_f_at_zero:
         f, beta = np.zeros(y.shape), np.zeros((count, data.p))
-        theta = dwt(f, filt, config.penalty.resolve_coarse_level(n))
     else:
         f, beta = initialize(rows, family)
-    active = _Active(np.arange(count), rows, lam, beta, f, theta)
+    active = _Active(np.arange(count), rows, lam, beta, f)
     trace = np.empty((config.kappa, count))       # K_n after each outer iteration, by row id
     decreasing = np.zeros(count, dtype=int)       # consecutive criterion decreases, by row id
     results: list = [None] * count
     for k in range(config.kappa):
         try:
-            f, beta, crit, x_beta, at = active.iterate(family, config, filt, k, unit_normal)
+            f, beta, crit, x_beta, at = active.iterate(family, config, filt, k)
         except FitError:
             failed = np.zeros(active.ids.size, dtype=bool)
             for i, row in enumerate(active.ids):
                 try:
-                    active.take(slice(i, i + 1)).iterate(family, config, filt, k, unit_normal)
+                    active.take(slice(i, i + 1)).iterate(family, config, filt, k)
                 except FitError as row_exc:
                     results[row], failed[i] = row_exc, True
             if failed.all():
                 break
             active = active.take(~failed)
-            f, beta, crit, x_beta, at = active.iterate(family, config, filt, k, unit_normal)
+            f, beta, crit, x_beta, at = active.iterate(family, config, filt, k)
         ids = active.ids
         trace[k][ids] = crit
         if k:

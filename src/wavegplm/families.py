@@ -65,6 +65,7 @@ class Family:
 
     kind: str
     phi: float
+    support: tuple[float, float] = (-np.inf, np.inf)  # closed range of the responses y
 
     # -- cumulant and derivatives -------------------------------------
     def evaluate(self, eta, cumulant: bool = False) -> Evaluation:
@@ -149,6 +150,7 @@ class Binomial(Family):
     """Scaled binomial: y*m ~ B(m, logistic(eta)), phi = 1/m, logit link."""
 
     kind = "binomial"
+    support = (0.0, 1.0)
 
     def __init__(self, m: int = 1):
         if m < 1 or int(m) != m:
@@ -183,6 +185,7 @@ class Poisson(Family):
     """Poisson family with log link; phi is fixed at 1."""
 
     kind = "poisson"
+    support = (0.0, np.inf)
 
     def __init__(self):
         self.phi = 1.0

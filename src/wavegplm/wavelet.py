@@ -145,9 +145,10 @@ BLOCK = 8192
 PLAN_LEVEL, PLAN_OUTPUTS = 128, 2048
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WaveletFilter:
-    """An orthonormal quadrature-mirror filter pair."""
+    """An orthonormal quadrature-mirror filter pair; its taps are read-only
+    copies, and it equals only itself, so caches key on it."""
 
     name: str
     lowpass: np.ndarray
@@ -158,8 +159,9 @@ class WaveletFilter:
     slabs: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
-        h = np.asarray(self.lowpass, dtype=float)
+        h = np.array(self.lowpass, dtype=float)
         g = ((-1.0) ** np.arange(h.size)) * h[::-1]
+        h.flags.writeable = g.flags.writeable = False
         object.__setattr__(self, "lowpass", h)
         object.__setattr__(self, "highpass", g)
         object.__setattr__(self, "slabs", tuple(taps.reshape(-1, 2)[::-1, :, None, None]
@@ -169,8 +171,9 @@ class WaveletFilter:
         return self.lowpass.size
 
 
+@lru_cache(maxsize=None)
 def make_filter(name: str) -> WaveletFilter:
-    """Look up a supported filter by name.
+    """Look up a supported filter by name (one shared instance per name).
 
     Raises
     ------
@@ -314,12 +317,11 @@ def _analysis_stage(level: np.ndarray, filt: WaveletFilter) -> None:
 
 
 @lru_cache(maxsize=256)
-def _synthesis_plan(h: int, outputs: int, lowpass: bytes) -> tuple[np.ndarray, ...]:
+def _synthesis_plan(h: int, outputs: int, filt: WaveletFilter) -> tuple[np.ndarray, ...]:
     """Read-only gather plan of the first ``outputs`` outputs per parity of a level of h
-    outputs per parity, for the filter with these lowpass taps (float64 bytes):
-    column[t, p] is the input i of the t-th term (i, l), (2i + l) mod 2h = p, of output p
-    by increasing i, then l, and low and high hold its h_l and g_l."""
-    filt = WaveletFilter(name="", lowpass=np.frombuffer(lowpass), vanishing_moments=0)
+    outputs per parity, for ``filt``: column[t, p] is the input i of the t-th term
+    (i, l), (2i + l) mod 2h = p, of output p by increasing i, then l, and low and high
+    hold its h_l and g_l."""
     L, p, q = len(filt), np.arange(2 * outputs), np.arange(len(filt) // 2)[:, None]
     # output p = 2k + r takes tap l = 2q + r from input i = (k - q) mod h;
     # its terms go in increasing order of the key i L + l
@@ -338,7 +340,7 @@ def _synthesis_stage(approx: np.ndarray, detail: np.ndarray, filt: WaveletFilter
     small = h <= PLAN_LEVEL and 2 * rows * h <= PLAN_OUTPUTS
     planned = h if small else min(h, half - 1)
     # terms[j, t, p]: h_l approx_ji + g_l detail_ji, the t-th term (i, l) of output p
-    column, low, high = _synthesis_plan(h, planned, filt.lowpass.tobytes())
+    column, low, high = _synthesis_plan(h, planned, filt)
     terms = approx.take(column, axis=-1)
     terms *= low
     products = detail.take(column, axis=-1)

@@ -408,6 +408,29 @@ class TestFitCommand:
         assert json.loads(out.read_text())["lambda"] == 0.0
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["fit", "DATA", "--m", "4"], "--m"),
+    (["fit", "DATA", "--family", "binomial", "--m", "4", "--phi", "2"], "--phi"),
+    (["simulate", "--family", "poisson", "--m", "4", "--phi", "2"], "--m"),
+    (["simulate", "--family", "binomial", "--phi", "2"], "--phi"),
+    (["calibrate", "--family", "poisson", "--phi", "2", "--lambda-grid", "1,2"], "--phi"),
+    (["calibrate", "--m", "4", "--sweep-n", "32"], "--m"),
+], ids=["fit-gaussian-m", "fit-binomial-phi", "simulate-poisson-m-phi",
+        "simulate-binomial-phi", "calibrate-poisson-phi", "calibrate-gaussian-m"])
+def test_family_flag_the_family_ignores_exit_2(tmp_path, monkeypatch, capsys, argv, flag):
+    # --m belongs to the binomial family and --phi to the gaussian one; a
+    # flag the chosen family ignores would be recorded in the report unused
+    data_path = tmp_path / "d.csv"
+    _write_gaussian_dataset(data_path)
+    for name in ("backfit", "run_monte_carlo", "calibrate_threshold"):
+        monkeypatch.setattr(cli, name, lambda *args: pytest.fail("ran a fit"))
+    out = tmp_path / "out.json"
+    argv = [str(data_path) if arg == "DATA" else arg for arg in argv]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert f"error: {flag} applies to --family" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestSimulateCommand:
     ARGS = ["simulate", "--n", "64", "--reps", "3", "--seed", "9",
             "--kappa", "200", "--delta", "1e-10", "--snr-f", "5"]
@@ -470,6 +493,20 @@ class TestCalibrateCommand:
 
     def test_requires_a_grid(self, capsys):
         assert main(["calibrate", "--n", "64"]) == 2
+        assert "calibrate needs --lambda-grid, --sweep-m or --sweep-n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("modes", [["--sweep-m", "8", "--sweep-n", "32"],
+                                       ["--sweep-n", "32", "--lambda-grid", "1,2"],
+                                       ["--lambda-grid", "1,2", "--sweep-m", "8"]],
+                             ids=["m-n", "n-grid", "grid-m"])
+    def test_second_mode_flag_exit_2(self, monkeypatch, capsys, modes):
+        # one run calibrates one way; a second mode flag is a usage error,
+        # not silently dropped
+        calls = []
+        monkeypatch.setattr(cli, "calibrate_threshold", lambda *args: calls.append(args))
+        assert main(["calibrate", "--n", "64", "--reps", "2", "--kappa", "20"] + modes) == 2
+        assert calls == []
+        assert "not allowed with argument" in capsys.readouterr().err
 
     @pytest.mark.parametrize("grid", ["-1,2", "1,inf"])
     def test_negative_or_non_finite_grid_exit_2(self, capsys, grid):

@@ -157,6 +157,11 @@ class TestThresholdVector:
             np.testing.assert_array_equal(unit, weighted)
             np.testing.assert_array_equal(coeffs.values, expected.values)
 
+    def test_unit_weights_without_signals_name_the_missing_signals(self):
+        # w = 1 leaves n to the signals
+        with pytest.raises(ConfigurationError, match="signals"):
+            per_coefficient_thresholds(1.0, None, make_filter("haar"), 2)
+
     def test_scales_linearly_with_lambda(self):
         filt = make_filter("daubechies-4")
         rng = np.random.default_rng(4)
@@ -201,9 +206,9 @@ class TestThresholdVector:
             np.testing.assert_array_equal(thr, expected)
             np.testing.assert_array_equal(np.signbit(thr), np.signbit(expected))
         assert _synthesized_ones.cache_info().hits == 1
-        signal = _synthesized_ones(n, filt.lowpass.tobytes(), j0, False)
+        signal = _synthesized_ones(n, filt, j0, False)
         assert _synthesized_ones.cache_info()[:2] == (2, 1)  # hits, misses
-        base = _synthesized_ones(n, filt.lowpass.tobytes(), j0, True)
+        base = _synthesized_ones(n, filt, j0, True)
         assert _synthesized_ones.cache_info()[:2] == (2, 2)
         expected_base = np.abs(dwt(ones, filt, j0).values)
         expected_base[:1 << j0] = 0.0
@@ -288,6 +293,19 @@ class TestGaussianClosedForm:
             beta = np.zeros(rows.y.shape[:-1] + (2,))
             np.testing.assert_array_equal(linear_step(rows, fam, beta, f),
                                           linear_step(rows, _UnitWeightsAsArray(), beta, f))
+
+    def test_dataset_forms_its_unit_normal_equations_once(self):
+        # the first gaussian linear step forms X^T and X^T X on the dataset;
+        # a second step reuses those two arrays and gives the same bits
+        data, _, f0 = _gaussian_data(4)
+        fam = Gaussian()
+        assert "_unit_normal" not in vars(data)
+        first = linear_step(data, fam, np.zeros(2), f0)
+        xt, gram = data._unit_normal
+        second = linear_step(data, fam, np.zeros(2), f0)
+        assert data._unit_normal[0] is xt and data._unit_normal[1] is gram
+        np.testing.assert_array_equal(second, first)
+        np.testing.assert_array_equal(np.signbit(second), np.signbit(first))
 
 
 class TestGlmOracle:
@@ -724,8 +742,8 @@ def test_lockstep_carries_only_the_mean_and_bddot(kind):
 
     data, family, config, lams = _lockstep_case(kind)
     f, beta = initialize(data, family)
-    active = _Active(np.arange(len(lams)), data, np.array(lams), beta, f, None)
-    *_, at = active.iterate(family, config, make_filter(config.filter_name), 0, None)
+    active = _Active(np.arange(len(lams)), data, np.array(lams), beta, f)
+    *_, at = active.iterate(family, config, make_filter(config.filter_name), 0)
     for carried, rows in ((at, len(lams)), (at.rows(slice(1, None)), len(lams) - 1)):
         assert carried.eta is None and carried.cumulant is None
         assert carried.mean.shape == carried.b_ddot.shape == (rows, data.n)

@@ -61,6 +61,29 @@ class TestMakeFilter:
         with pytest.raises(ConfigurationError):
             make_filter("daubechies-5")
 
+    @pytest.mark.parametrize("name", SUPPORTED_FILTERS)
+    def test_one_shared_filter_per_name_equal_only_to_itself(self, name):
+        # caches key on the filter, so a name gives one instance, which
+        # compares and hashes by identity, never by its taps
+        filt = make_filter(name)
+        assert make_filter(name) is filt
+        assert make_filter(name) == filt
+        assert {filt: name}[make_filter(name)] == name
+        twin = WaveletFilter(name=name, lowpass=filt.lowpass,
+                             vanishing_moments=filt.vanishing_moments)
+        assert twin != filt
+        _assert_bits_equal(twin.lowpass, filt.lowpass)
+
+    def test_filter_holds_read_only_copies_of_the_callers_taps(self):
+        taps = np.random.default_rng(5).standard_normal(6)
+        filt = WaveletFilter(name="custom", lowpass=taps, vanishing_moments=0)
+        assert taps.flags.writeable
+        assert not np.shares_memory(filt.lowpass, taps)
+        for array in (filt.lowpass, filt.highpass, *filt.slabs):
+            assert not array.flags.writeable
+        taps[0] = 9.0
+        assert filt.lowpass[0] != 9.0
+
 
 class TestLayout:
     def test_n8_full_pyramid(self):
@@ -322,7 +345,7 @@ def test_synthesis_plans_list_each_outputs_terms_in_reference_order(name):
             for l in range(L):
                 terms[(2 * i + l) % (2 * h)].append((i, l))
         i, l = np.array(terms[:2 * outputs], dtype=int).reshape(2 * outputs, L // 2, 2).T
-        column, low, high = _synthesis_plan(h, outputs, filt.lowpass.tobytes())
+        column, low, high = _synthesis_plan(h, outputs, filt)
         np.testing.assert_array_equal(column, i)
         _assert_bits_equal(low, filt.lowpass[l])
         _assert_bits_equal(high, filt.highpass[l])
